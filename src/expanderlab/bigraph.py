@@ -65,7 +65,7 @@ class VertexSet:
         return iter(self.members)
 
     def __contains__(self, v) -> bool:
-        return v in set(self.members)
+        return v in self.members
 
 
 @dataclass(frozen=True)

@@ -243,20 +243,19 @@ def cmd_pipeline(args) -> int:
     required_k = args.k
     if args.gadget:
         small = bigraph.read_graph(args.gadget)
-        if small.n_left != d:
-            stages.append({"stage": "gadget", "ok": False,
-                           "reason": f"port-count mismatch: gadget left {small.n_left} != d {d}"})
-            _emit(_pipeline_payload(stages), "pipeline: gadget port mismatch")
-            return EXIT_STAGE_PRODUCT
+        gadget_left = small.n_left
+    else:
+        L0, R0, c0, d0 = (int(t) for t in args.gadget_params.split(","))
+        gadget_left = L0
+    if gadget_left != d:
+        stages.append({"stage": "gadget", "ok": False,
+                       "reason": f"port-count mismatch: gadget left {gadget_left} != d {d}"})
+        _emit(_pipeline_payload(stages), "pipeline: gadget port mismatch")
+        return EXIT_STAGE_PRODUCT
+    if args.gadget:
         cert = gadget.verify_unique_neighbour_upto(small, required_k, budget=args.budget)
         attempts = [cert.to_dict()]
     else:
-        L0, R0, c0, d0 = (int(t) for t in args.gadget_params.split(","))
-        if L0 != d:
-            stages.append({"stage": "gadget", "ok": False,
-                           "reason": f"port-count mismatch: gadget left {L0} != d {d}"})
-            _emit(_pipeline_payload(stages), "pipeline: gadget port mismatch")
-            return EXIT_STAGE_PRODUCT
         small = None
         cert = None
         attempts = []
@@ -344,8 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="subset enumeration cap")
     parser.add_argument("--tolerance", type=float, default=spectral.DEFAULT_TOLERANCE,
                         help="spectral classification tolerance")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (results are worker-count independent)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="singular spectrum + Ramanujan verdict")
@@ -396,13 +393,15 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--R", type=int, required=True)
     ps.add_argument("--c", type=int, required=True)
     ps.add_argument("--d", type=int, required=True)
-    ps.add_argument("--seed", type=int, default=0)
+    # --seed and --budget repeat top-level flags; SUPPRESS keeps the top-level
+    # value unless the flag is given after the subcommand
+    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_gadget_sample)
     pv = gsub.add_parser("verify")
     pv.add_argument("--in", dest="infile", required=True)
     pv.add_argument("--k", type=int, required=True)
-    pv.add_argument("--budget", type=int, default=gadget.DEFAULT_SUBSET_BUDGET)
+    pv.add_argument("--budget", type=int, default=argparse.SUPPRESS)
     pv.add_argument("--method", choices=[gadget.METHOD_PRUNED, gadget.METHOD_NAIVE],
                     default=gadget.METHOD_PRUNED)
     pv.add_argument("--audit-pruning", action="store_true")

@@ -24,7 +24,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from expanderlab.bigraph import BipartiteMultigraph, VertexSet
+from expanderlab.bigraph import BipartiteMultigraph
 
 DEFAULT_SUBSET_BUDGET = 10 ** 8
 MAX_VERIFY_K = 12
@@ -58,23 +58,43 @@ class GadgetParams:
         if self.c < 1 or self.d < 1:
             raise ValueError("regularities must be positive")
         if self.L * self.c != self.R * self.d:
-            raise ValueError(f"slot mismatch: L*c = {self.L_c} != R*d = {self.R * self.d}")
-
-    @property
-    def L_c(self) -> int:
-        return self.L * self.c
+            raise ValueError(f"slot mismatch: L*c = {self.L * self.c} != R*d = {self.R * self.d}")
 
     def to_dict(self) -> dict:
         return {"L": self.L, "R": self.R, "c": self.c, "d": self.d, "seed": self.seed}
 
 
-def _log_rhs(L, R, c) -> mp.mpf:
-    """log of 1/(2Le) * (R/(3ec))^((c-1)/2), with R allowed rational."""
-    if isinstance(R, Fraction):
-        log_r = mp.log(R.numerator) - mp.log(R.denominator)
-    else:
-        log_r = mp.log(R)
-    return -(mp.log(2 * L) + 1) + mp.mpf(c - 1) / 2 * (log_r - (mp.log(3) + 1 + mp.log(c)))
+def log_exact(x) -> mp.mpf:
+    """log x at the working precision; a Fraction's numerator and denominator
+    are taken separately, so rational inputs are not rounded first."""
+    if isinstance(x, Fraction):
+        return mp.log(x.numerator) - mp.log(x.denominator)
+    return mp.log(x)
+
+
+def lemma7_constants(c: int) -> tuple[mp.mpf, mp.mpf, mp.mpf, mp.mpf]:
+    """log 2 + 1, log 3 + 1 + log c, (c-1)/2 and (c-3)/2 at the working precision."""
+    return mp.log(2) + 1, mp.log(3) + 1 + mp.log(c), mp.mpf(c - 1) / 2, mp.mpf(c - 3) / 2
+
+
+def lemma7_log_margin(log_L, log_R, log_k, constants) -> mp.mpf:
+    """log RHS - log LHS of k^((c-3)/2) <= 1/(2Le) * (R/(3ec))^((c-1)/2).
+
+    The inequality holds iff the margin is >= 0.  Takes the logs of L, R and
+    k, and lemma7_constants(c), so that a caller scanning a family of
+    (L, R, k) pays only for the logs that change.
+    """
+    log_2e, log_3ec, half_rhs, half_lhs = constants
+    return -(log_2e + log_L) + half_rhs * (log_R - log_3ec) - half_lhs * log_k
+
+
+def resolve_near_tie(evaluate, precision: int):
+    """evaluate(dps) -> (answer, margin) at `precision` digits; when |margin|
+    < COMPARISON_MARGIN the answer is recomputed at triple precision."""
+    answer, margin = evaluate(precision)
+    if abs(margin) < COMPARISON_MARGIN:
+        answer, _ = evaluate(3 * precision)
+    return answer
 
 
 def lemma7_k_bound(L: int, R, c: int, precision: int = 30) -> int:
@@ -91,7 +111,7 @@ def lemma7_k_bound(L: int, R, c: int, precision: int = 30) -> int:
 
     def solve(dps: int) -> tuple[int, mp.mpf]:
         with mp.workdps(dps):
-            rhs = _log_rhs(L, R, c)
+            rhs = lemma7_log_margin(mp.log(L), log_exact(R), 0, lemma7_constants(c))
             if rhs < 0:
                 return 0, mp.mpf(1)
             half = mp.mpf(c - 3) / 2
@@ -100,13 +120,9 @@ def lemma7_k_bound(L: int, R, c: int, precision: int = 30) -> int:
                 k += 1
             while k >= 1 and half * mp.log(k) > rhs:
                 k -= 1
-            margin = abs(half * mp.log(max(k, 1)) - rhs)
-            return k, margin
+            return k, half * mp.log(max(k, 1)) - rhs
 
-    k, margin = solve(precision)
-    if margin < COMPARISON_MARGIN:
-        k, _ = solve(3 * precision)
-    return k
+    return resolve_near_tie(solve, precision)
 
 
 def sample_biregular(n_left: int, n_right: int, c: int, d: int, seed: int = 0) -> BipartiteMultigraph:
@@ -285,20 +301,13 @@ def verify_unique_neighbour_upto(
     )
 
 
-def has_unique_neighbour(g: BipartiteMultigraph, s: VertexSet) -> bool:
-    from expanderlab.bigraph import unique_neighbours
-
-    return len(unique_neighbours(g, s)) > 0
-
-
 def _log_inner(L: int, R, c: int, k: int) -> mp.mpf:
-    """log of (Le/k) * (3eck/R)^((c-1)/2), the per-size union bound base."""
-    if isinstance(R, Fraction):
-        log_r = mp.log(R.numerator) - mp.log(R.denominator)
-    else:
-        log_r = mp.log(R)
-    return (mp.log(L) + 1 - mp.log(k)
-            + mp.mpf(c - 1) / 2 * (mp.log(3) + 1 + mp.log(c) + mp.log(k) - log_r))
+    """log of (Le/k) * (3eck/R)^((c-1)/2), the per-size union bound base.
+
+    The base is at most 1/2 exactly when lemma 7's inequality holds at k, so
+    it is minus that margin, minus log 2.
+    """
+    return -lemma7_log_margin(mp.log(L), log_exact(R), mp.log(k), lemma7_constants(c)) - mp.ln2
 
 
 def repeats_probability_bound(L: int, R, c: int, k: int, precision: int = 30) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,6 +163,40 @@ def _check_brute_budget(g: BipartiteMultigraph, length: int):
         )
 
 
+def _nb_walks(
+    g: BipartiteMultigraph, length: int, starts, from_left: bool = True, allowed_left=None
+) -> Counter:
+    """Tally every non-backtracking walk of `length` steps by (start, last left vertex).
+
+    Depth-first enumeration of edge sequences from each start (on the left
+    side when from_left, else the right): consecutive edges share their middle
+    vertex, and no edge is traversed twice in a row.  A step into a left vertex
+    outside allowed_left (None: any) is not taken.  A walk that never reaches
+    the left side tallies -1 as its last left vertex.  This is the oracle the
+    operator recursions are tested against, so it shares no code with
+    build_nb_operators.
+    """
+    left_adj, right_adj = _walk_adjacency(g)
+    tally: Counter = Counter()
+
+    def dfs(on_left: bool, vertex: int, last_eid: int, depth: int, start: int, last_left: int):
+        if depth == length:
+            tally[start, last_left] += 1
+            return
+        if on_left:
+            for eid, v in left_adj[vertex]:
+                if eid != last_eid:
+                    dfs(False, v, eid, depth + 1, start, last_left)
+        else:
+            for eid, u in right_adj[vertex]:
+                if eid != last_eid and (allowed_left is None or u in allowed_left):
+                    dfs(True, u, eid, depth + 1, start, u)
+
+    for start in starts:
+        dfs(from_left, start, -1, 0, start, start if from_left else -1)
+    return tally
+
+
 def count_nb_paths_bruteforce(
     g: BipartiteMultigraph, s: VertexSet, length: int, mode: str = ENDPOINTS_IN_S
 ) -> int:
@@ -176,32 +211,10 @@ def count_nb_paths_bruteforce(
     _require_left(s, g)
     _check_brute_budget(g, length)
     sset = set(s.members)
-    if length == 0:
-        return len(sset)
-    left_adj, right_adj = _walk_adjacency(g)
-    all_mode = mode == ALL_IN_S
-    count = 0
-
-    def dfs(on_left: bool, vertex: int, last_eid: int, depth: int, last_left: int):
-        nonlocal count
-        if depth == length:
-            if all_mode or last_left in sset:
-                count += 1
-            return
-        if on_left:
-            for eid, v in left_adj[vertex]:
-                if eid != last_eid:
-                    dfs(False, v, eid, depth + 1, vertex)
-        else:
-            for eid, u in right_adj[vertex]:
-                if eid != last_eid:
-                    if all_mode and u not in sset:
-                        continue
-                    dfs(True, u, eid, depth + 1, u)
-
-    for start in sorted(sset):
-        dfs(True, start, -1, 0, start)
-    return count
+    if mode == ALL_IN_S:
+        return sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
+    walks = _nb_walks(g, length, s.members)
+    return sum(n for (_, last_left), n in walks.items() if last_left in sset)
 
 
 def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int) -> int:
@@ -219,27 +232,8 @@ def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int)
     if length == 0:
         raise ValueError("length-0 paths have no orientation to quotient")
     sset = set(s.members)
-    left_adj, right_adj = _walk_adjacency(g)
-    count = 0
-
-    def dfs(on_left: bool, vertex: int, last_eid: int, depth: int):
-        nonlocal count
-        if depth == length:
-            count += 1
-            return
-        if on_left:
-            for eid, v in left_adj[vertex]:
-                if eid != last_eid:
-                    dfs(False, v, eid, depth + 1)
-        else:
-            for eid, u in right_adj[vertex]:
-                if eid != last_eid and u in sset:
-                    dfs(True, u, eid, depth + 1)
-
-    for start in sorted(sset):
-        dfs(True, start, -1, 0)
-    for start in range(g.n_right):
-        dfs(False, start, -1, 0)
+    count = (sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
+             + sum(_nb_walks(g, length, range(g.n_right), False, sset).values()))
     assert count % 2 == 0
     return count // 2
 
@@ -250,21 +244,8 @@ def nb_path_matrix_bruteforce(g: BipartiteMultigraph, length: int) -> np.ndarray
         raise ValueError("left-to-left counts need an even length")
     _check_brute_budget(g, length)
     N = np.zeros((g.n_left, g.n_left), dtype=object)
-    if length == 0:
-        return _int_eye(g.n_left)
-    left_adj, right_adj = _walk_adjacency(g)
-
-    def dfs(on_left: bool, vertex: int, last_eid: int, depth: int, start: int):
-        if depth == length:
-            N[vertex, start] += 1
-            return
-        adj = left_adj[vertex] if on_left else right_adj[vertex]
-        for eid, w in adj:
-            if eid != last_eid:
-                dfs(not on_left, w, eid, depth + 1, start)
-
-    for start in range(g.n_left):
-        dfs(True, start, -1, 0, start)
+    for (start, end), n in _nb_walks(g, length, range(g.n_left)).items():
+        N[end, start] = n
     return N
 
 
@@ -391,20 +372,24 @@ class RecurrenceSolution:
         return self.alpha * self.lambda1 ** n + self.beta * self.lambda2 ** n
 
 
-def solve_linear_recurrence(a, b, x0, x1) -> RecurrenceSolution:
+def _closed_form(cls, a, b, x0, x1, disc, repeated: bool, **extra):
+    """Roots and coefficients of x_n = a x_{n-1} + b x_{n-2}; the caller picks the branch."""
     a, b, x0, x1 = complex(a), complex(b), complex(x0), complex(x1)
-    disc = a * a + 4 * b
-    if disc == 0:
+    if repeated:
         lam = a / 2
-        alpha = x0
         beta = x1 / lam - x0 if lam != 0 else 0j
-        return RecurrenceSolution(a, b, x0, x1, lam, lam, alpha, beta, repeated=True)
+        return cls(a, b, x0, x1, lam, lam, x0, beta, repeated=True, **extra)
     sq = cmath.sqrt(disc)
     lam1 = (a + sq) / 2
     lam2 = (a - sq) / 2
     alpha = (x1 - x0 * lam2) / (lam1 - lam2)
-    beta = x0 - alpha
-    return RecurrenceSolution(a, b, x0, x1, lam1, lam2, alpha, beta, repeated=False)
+    return cls(a, b, x0, x1, lam1, lam2, alpha, x0 - alpha, repeated=False, **extra)
+
+
+def solve_linear_recurrence(a, b, x0, x1) -> RecurrenceSolution:
+    a, b = complex(a), complex(b)
+    disc = a * a + 4 * b
+    return _closed_form(RecurrenceSolution, a, b, x0, x1, disc, repeated=disc == 0)
 
 
 def iterate_recurrence(a, b, x0, x1, n: int) -> complex:
@@ -418,23 +403,19 @@ def iterate_recurrence(a, b, x0, x1, n: int) -> complex:
 
 
 @dataclass(frozen=True)
-class CharRoots:
-    """Characteristic data of the p_n recurrence at a fixed x = lambda^2."""
+class CharRoots(RecurrenceSolution):
+    """The p_n recurrence solved at a fixed x = lambda^2.
+
+    a = x - (c-1) - (d-1), b = -(c-1)(d-1), x0 = p_0 = c/(c-1), x1 = p_1 = x - c.
+    """
 
     c: int
     d: int
     x: float
     delta: float
-    lambda1: complex
-    lambda2: complex
-    alpha: complex
-    beta: complex
-    repeated: bool
 
     def evaluate_p(self, n: int) -> complex:
-        if self.repeated:
-            return (self.alpha + n * self.beta) * self.lambda1 ** n
-        return self.alpha * self.lambda1 ** n + self.beta * self.lambda2 ** n
+        return self.evaluate(n)
 
 
 def char_delta(c: int, d: int, x: float) -> float:
@@ -452,20 +433,11 @@ def char_roots(c: int, d: int, x: float) -> CharRoots:
     if not (2 <= c < d):
         raise ValueError("need 2 <= c < d")
     x = float(x)
-    trace = x - (c - 1) - (d - 1)
     delta = char_delta(c, d, x)
-    p0 = c / (c - 1)
-    if abs(delta) < REPEATED_ROOT_EPS:
-        lam = trace / 2
-        alpha = complex(p0)
-        beta = complex((x - c) / lam - p0)
-        return CharRoots(c, d, x, delta, complex(lam), complex(lam), alpha, beta, repeated=True)
-    sq = cmath.sqrt(complex(delta))
-    lam1 = (trace + sq) / 2
-    lam2 = (trace - sq) / 2
-    alpha = ((x - c) - p0 * lam2) / (lam1 - lam2)
-    beta = p0 - alpha
-    return CharRoots(c, d, x, delta, lam1, lam2, alpha, beta, repeated=False)
+    return _closed_form(
+        CharRoots, x - (c - 1) - (d - 1), -(c - 1) * (d - 1), c / (c - 1), x - c,
+        complex(delta), repeated=abs(delta) < REPEATED_ROOT_EPS, c=c, d=d, x=x, delta=delta,
+    )
 
 
 def interior_coefficient(c: int, d: int, x: float) -> float:

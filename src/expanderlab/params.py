@@ -21,11 +21,14 @@ the scan computes every combination and reports them all.  The default
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+
+from expanderlab import gadget
 
 ALL_INTEGERS = "all-integers"
 PRIME_POWERS = "prime-powers-only"
@@ -36,9 +39,6 @@ FIRST_HOLD = "first-hold"
 DEFAULT_SCAN_MARGIN = 10 ** 4
 DEFAULT_PRECISION = 30
 
-# log comparisons closer than this are re-run at triple precision
-COMPARISON_MARGIN = 1e-12
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -47,19 +47,6 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     # via str() so that literal CLI inputs like 1.01 mean exactly 101/100
     return Fraction(str(x))
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
@@ -90,41 +77,30 @@ def is_prime_power(n: int) -> bool:
     return prime_power(n) is not None
 
 
-class _Ineq15:
-    """Log-domain evaluator of the threshold inequality at integer q."""
+def _threshold_test(c0: int, alpha: Fraction, precision: int):
+    """q -> whether the threshold inequality holds at q.
 
-    def __init__(self, c0: int, alpha: Fraction, precision: int):
-        self.c0 = c0
-        self.alpha = alpha
-        self.precision = precision
-        self._consts = {}
+    It is lemma 7's inequality at L = q^3+1, R = L/(alpha(q+1)), k = q+1, so
+    each q costs two logs; log alpha and the lemma's constants are taken once
+    per precision here.
+    """
+    constants = {}
+    for dps in (precision, 3 * precision):
+        with mp.workdps(dps):
+            constants[dps] = gadget.log_exact(alpha), gadget.lemma7_constants(c0)
 
-    def _constants(self, dps: int):
-        if dps not in self._consts:
-            with mp.workdps(dps):
-                self._consts[dps] = (
-                    mp.log(self.alpha.numerator) - mp.log(self.alpha.denominator),
-                    mp.log(3) + 1 + mp.log(self.c0),
-                    mp.log(2) + 1,
-                )
-        return self._consts[dps]
-
-    def margin(self, q: int, dps: int | None = None) -> mp.mpf:
-        """rhs_log - lhs_log; the inequality holds iff this is >= 0."""
-        dps = dps or self.precision
-        log_alpha, log_3ec0, log_2e = self._constants(dps)
+    def evaluate(q: int, dps: int) -> tuple[bool, mp.mpf]:
+        log_alpha, lemma7 = constants[dps]
         with mp.workdps(dps):
             l1 = mp.log(q + 1)
             l3 = mp.log(q ** 3 + 1)
-            lhs = mp.mpf(self.c0 - 3) / 2 * l1
-            rhs = -(log_2e + l3) + mp.mpf(self.c0 - 1) / 2 * (l3 - log_alpha - l1 - log_3ec0)
-            return rhs - lhs
+            margin = gadget.lemma7_log_margin(l3, l3 - log_alpha - l1, l1, lemma7)
+        return margin >= 0, margin
 
-    def holds(self, q: int, strict: bool = False) -> bool:
-        m = self.margin(q)
-        if abs(m) < COMPARISON_MARGIN:
-            m = self.margin(q, dps=3 * self.precision)
-        return m > 0 if strict else m >= 0
+    def holds(q: int) -> bool:
+        return gadget.resolve_near_tie(functools.partial(evaluate, q), precision)
+
+    return holds
 
 
 @dataclass(frozen=True)
@@ -169,9 +145,8 @@ def qhat(
     q >= 2, or prime powers only); boundary picks whether q_hat reports the
     largest failing q ('last-fail') or the first q of the verified all-holds
     region ('first-hold', the default, which reproduces the published table).
-    Strict vs non-strict comparison at the boundary never differs in practice
-    (the two sides are transcendental in q); both are exposed through the
-    evaluator for completeness.
+    The comparison is non-strict; strict and non-strict never differ in
+    practice (the two sides are transcendental in q).
     """
     if c0 <= 5:
         raise ValueError("need c0 > 5 (otherwise the right side never dominates)")
@@ -183,7 +158,7 @@ def qhat(
     if boundary not in (LAST_FAIL, FIRST_HOLD):
         raise ValueError(f"unknown boundary convention {boundary!r}")
 
-    ineq = _Ineq15(c0, alpha, precision)
+    holds = _threshold_test(c0, alpha, precision)
 
     # One scan over all integers; the prime-power answers are derived from the
     # full failure record plus an extended margin check on prime powers.
@@ -192,7 +167,7 @@ def qhat(
     q = 1
     while True:
         q += 1
-        if ineq.holds(q):
+        if holds(q):
             holds_run += 1
             if failures and holds_run >= scan_margin:
                 break
@@ -217,7 +192,7 @@ def qhat(
     first_hold_pp = None
     while confirmed < scan_margin:
         if is_prime_power(q):
-            if not ineq.holds(q):
+            if not holds(q):
                 raise ArithmeticError(
                     f"prime power {q} fails past the presumed threshold; "
                     "scan margin too small"
@@ -360,8 +335,6 @@ def theorem1_wiring(
     the average-degree bound 1 + (1+eps) q strictly below q+2, so a right
     vertex with at most q+1 ports into the set exists.
     """
-    from expanderlab.gadget import lemma7_k_bound
-
     if c0 <= 5:
         raise ValueError("need c0 > 5")
     alpha = _as_fraction(alpha)
@@ -378,13 +351,12 @@ def theorem1_wiring(
         raise ValueError(f"alpha*c0*(q+1) = {degree_right} is not an integer")
     # the inequality is meaningful for rational side sizes, so test it before
     # the integrality of r0
-    ineq = _Ineq15(c0, alpha, precision)
-    if not ineq.holds(q):
+    if not _threshold_test(c0, alpha, precision)(q):
         raise ValueError(f"threshold inequality fails at q = {q} (q <= q_hat)")
     r0 = Fraction(d) / (alpha * c)
     if r0.denominator != 1:
         raise ValueError(f"gadget right side d/(alpha c) = {r0} is not an integer")
-    k = lemma7_k_bound(d, int(r0), c0, precision=precision)
+    k = gadget.lemma7_k_bound(d, int(r0), c0, precision=precision)
     return Theorem1Sheet(
         c0=c0,
         alpha=alpha,

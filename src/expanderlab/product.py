@@ -117,7 +117,7 @@ def inheritance_check(rp: RoutedProduct, s: VertexSet, v: int) -> InheritanceRep
     counterexample = None
     for j in uj:
         target = rp.product_right_index(v, j)
-        incident = sum(1 for u, w in rp.product.edges if w == target and u in sset)
+        incident = sum(1 for u in rp.product.right_ports[target] if u in sset)
         if incident != 1:
             counterexample = (v, j)
             break

@@ -141,10 +141,6 @@ def spectrum(g: BipartiteMultigraph, tolerance: float = DEFAULT_TOLERANCE) -> Sp
     )
 
 
-def is_ramanujan(g: BipartiteMultigraph, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    return spectrum(g, tolerance).ramanujan
-
-
 def incidence_graph(g: RegularGraph) -> BipartiteMultigraph:
     """Edge-vertex incidence graph: left = edges of g (degree 2), right = vertices (degree d)."""
     if g.d < 2:

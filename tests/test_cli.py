@@ -127,6 +127,35 @@ def test_gadget_sample_and_verify(capsys, tmp_path):
     assert payload["verified_k"] == 0
 
 
+def test_seed_before_subcommand_reaches_gadget_sample(capsys, tmp_path):
+    top, sub = tmp_path / "top.bg", tmp_path / "sub.bg"
+    argv = ["--L", "12", "--R", "8", "--c", "4", "--d", "6"]
+    code, payload = run_cli(capsys, "--seed", "5", "gadget", "sample", *argv, "--out", str(top))
+    assert code == 0
+    assert payload["params"]["seed"] == 5
+    run_cli(capsys, "gadget", "sample", *argv, "--seed", "5", "--out", str(sub))
+    assert top.read_bytes() == sub.read_bytes()
+    # a value given to the subcommand wins over the top-level one
+    code, payload = run_cli(capsys, "--seed", "5", "gadget", "sample", *argv,
+                            "--seed", "6", "--out", str(sub))
+    assert payload["params"]["seed"] == 6
+
+
+def test_budget_before_subcommand_reaches_gadget_verify(capsys, files):
+    # K32: size 1 takes the whole budget of 3 subsets, size 2 would exceed it
+    code, payload = run_cli(capsys, "--budget", "3", "gadget", "verify",
+                            "--in", files["k32"], "--k", "3")
+    assert code == cli.EXIT_BUDGET
+    assert payload["budget_exhausted"] is True and payload["verified_k"] == 1
+    code, _ = run_cli(capsys, "gadget", "verify", "--in", files["k32"], "--k", "3",
+                      "--budget", "3")
+    assert code == cli.EXIT_BUDGET
+    # a value given to the subcommand wins over the top-level one
+    code, _ = run_cli(capsys, "--budget", "3", "gadget", "verify", "--in", files["k32"],
+                      "--k", "3", "--budget", "100")
+    assert code == cli.EXIT_VERIFICATION
+
+
 def test_gadget_sample_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.bg", tmp_path / "b.bg"
     run_cli(capsys, "gadget", "sample", "--L", "12", "--R", "8", "--c", "4", "--d", "6",
@@ -220,6 +249,12 @@ def test_pipeline_port_mismatch(capsys, files):
     )
     assert code == cli.EXIT_STAGE_PRODUCT
     assert "port-count mismatch" in payload["stages"][-1]["reason"]
+    # a sampled gadget with 2 left vertices cannot serve K32's 3 ports either
+    code, payload = run_cli(
+        capsys, "pipeline", "--big", files["k32"], "--gadget-params", "2,1,1,2"
+    )
+    assert code == cli.EXIT_STAGE_PRODUCT
+    assert payload["stages"][-1]["reason"] == "port-count mismatch: gadget left 2 != d 3"
 
 
 def test_pipeline_sampled_gadget(capsys, files):

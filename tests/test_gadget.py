@@ -57,6 +57,16 @@ def test_k_bound_accepts_fraction_R():
     assert lemma7_k_bound(L, R, c0) >= q + 1
 
 
+@pytest.mark.parametrize("c0, alpha, q_hat", [(35, Fraction(2), 1492),
+                                              (100, Fraction(101, 100), 1135)])
+def test_k_bound_agrees_with_qhat_at_table_boundary(c0, alpha, q_hat):
+    # lemma 7 at L = q^3+1, R = L/(alpha(q+1)) reaches k = q+1 from q_hat on
+    for q, certified in ((q_hat - 1, False), (q_hat, True)):
+        L = q ** 3 + 1
+        R = Fraction(L) / (alpha * (q + 1))
+        assert (lemma7_k_bound(L, R, c0) >= q + 1) is certified
+
+
 # -- sampling -------------------------------------------------------------------
 
 
