@@ -6,8 +6,10 @@ integer recursions seeded by A_2^{LL} = B B^T - c I, collapse to polynomials
 A_{2n}^{LL} = p_n(B B^T) in the path-count variable, and the polynomial values
 on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
-for l past a computable threshold.  Everything here is either exact integer /
-rational arithmetic or explicitly high-precision floating point.
+for l past a computable threshold.  Path counts and polynomials are exact
+integer / rational arithmetic.  The band-bound sweep screens its samples in
+float64 and lets explicit high-precision (mpmath) arithmetic decide every
+value the floats cannot settle; its reported figures are the mpmath ones.
 
 Convention: a non-backtracking path is a sequence of directed edge traversals
 starting at a left vertex, where consecutive edges share the intermediate
@@ -42,6 +44,13 @@ ALL_IN_S = "all-in-S"
 # Delta(x) this close to zero switches alpha/beta to the repeated-root branch
 # (cancellation control near the band endpoints).
 REPEATED_ROOT_EPS = 1e-8
+
+# a float64 lemma-6 ratio this close to 1.0 or to the running maximum is
+# re-evaluated in mpmath
+SCREEN_GUARD = 1e-6
+
+# lemma8_exhaustive_check sums operator entries in int64 only below this
+INT64_LIMIT = 2 ** 63
 
 
 class EnumerationBudgetError(ValueError):
@@ -492,6 +501,7 @@ class Lemma6Report:
     precision: int
     ell_min: int
     entries: tuple[Lemma6Entry, ...]
+    escalations: int
 
     @property
     def asserted_violations(self) -> int:
@@ -506,6 +516,7 @@ class Lemma6Report:
             "precision": self.precision,
             "ell_min": self.ell_min,
             "asserted_violations": self.asserted_violations,
+            "escalations": self.escalations,
             "entries": [e.to_dict() for e in self.entries],
         }
 
@@ -519,55 +530,91 @@ def _band_samples(c: int, d: int, samples: int, seed: int) -> list[float]:
     return specials + list(lo + (hi - lo) * rng.random(n_random))
 
 
+def _lemma6_ratios_mp(c: int, d: int, lam: float, ell_max: int) -> list[float]:
+    """|p_l(lambda^2)| / ((2+sqrt(d-1)) l ((c-1)(d-1))^(l/2)) for l = 1..ell_max,
+    by the p recurrence at the current mpmath working precision."""
+    growth = mp.sqrt((c - 1) * (d - 1))
+    lead = 2 + mp.sqrt(d - 1)
+    shift = mp.mpf(c - 1 + d - 1)
+    scale = mp.mpf((c - 1) * (d - 1))
+    x = mp.mpf(lam) ** 2
+    p_prev = mp.mpf(c) / (c - 1)
+    p_cur = x - c
+    gpow = growth
+    ratios = []
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            p_prev, p_cur = p_cur, (x - shift) * p_cur - scale * p_prev
+            gpow *= growth
+        ratios.append(float(abs(p_cur) / (lead * ell * gpow)))
+    return ratios
+
+
 def lemma6_sweep(
     c: int, d: int, ell_max: int, samples: int = 10_000, seed: int = 0, precision: int = 30
 ) -> Lemma6Report:
     """Check |p_l(lambda^2)| <= (2+sqrt(d-1)) l ((c-1)(d-1))^(l/2) for l = 1..ell_max.
 
-    p_l is evaluated through its recurrence in mpmath working precision, which
-    shares one pass over the sample set across all l.  Violations are reported
-    per l, never raised; entries with l >= ell_min carry the asserted flag.
+    The interior samples run the normalised recurrence
+    q_{l+1} = ((x - (c-1) - (d-1))/g) q_l - q_{l-1}, q_l = p_l / g^l with
+    g = sqrt((c-1)(d-1)), in float64 across all samples at once, one l at a
+    time.  Inside the band both of its roots have modulus 1, so rounding
+    error grows only linearly in l.  mpmath at `precision` digits evaluates
+    the three special samples (0 and the band endpoints, where the float
+    recurrence is not stable) and every interior sample whose float ratio
+    lies within SCREEN_GUARD of 1.0 or of the running maximum for its l.  So
+    violations, worst_ratio and worst_lambda (the first sample attaining the
+    maximum) are those of evaluating every sample in mpmath; escalations
+    counts the samples that were.  Violations are reported per l, never
+    raised; entries with l >= ell_min carry the asserted flag.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be >= 1")
     lams = _band_samples(c, d, samples, seed)
     threshold = ell_min(c, d)
-    violations = [0] * (ell_max + 1)
-    worst_ratio = [0.0] * (ell_max + 1)
-    worst_lam = [0.0] * (ell_max + 1)
-    with mp.workdps(precision):
-        growth = mp.sqrt((c - 1) * (d - 1))
-        lead = 2 + mp.sqrt(d - 1)
-        shift = mp.mpf(c - 1 + d - 1)
-        scale = mp.mpf((c - 1) * (d - 1))
-        for lam in lams:
-            x = mp.mpf(lam) ** 2
-            p_prev = mp.mpf(c) / (c - 1)
-            p_cur = x - c
-            gpow = growth
-            for ell in range(1, ell_max + 1):
-                if ell > 1:
-                    p_prev, p_cur = p_cur, (x - shift) * p_cur - scale * p_prev
-                    gpow *= growth
-                ratio = float(abs(p_cur) / (lead * ell * gpow))
-                if ratio > worst_ratio[ell]:
-                    worst_ratio[ell] = ratio
-                    worst_lam[ell] = lam
-                if ratio > 1.0:
-                    violations[ell] += 1
-    entries = tuple(
-        Lemma6Entry(
+    exact: dict[int, list[float]] = {}
+
+    def ratios_mp(i: int) -> list[float]:
+        if i not in exact:
+            with mp.workdps(precision):
+                exact[i] = _lemma6_ratios_mp(c, d, lams[i], ell_max)
+        return exact[i]
+
+    specials = range(3)  # _band_samples puts 0 and the band endpoints first
+    for i in specials:
+        ratios_mp(i)
+    x = np.array(lams[3:]) ** 2
+    g = math.sqrt((c - 1) * (d - 1))
+    lead = 2 + math.sqrt(d - 1)
+    step = (x - (c - 1) - (d - 1)) / g
+    q_prev = np.full_like(x, c / (c - 1))
+    q_cur = (x - c) / g
+    entries = []
+    for ell in range(1, ell_max + 1):
+        if ell > 1:
+            q_prev, q_cur = q_cur, step * q_cur - q_prev
+        ratio = np.abs(q_cur) / (lead * ell)
+        top = max([exact[i][ell - 1] for i in specials] + [ratio.max(initial=0.0)])
+        near = np.abs(ratio - 1.0) < SCREEN_GUARD
+        near |= ratio >= top - SCREEN_GUARD
+        decided = {i: exact[i][ell - 1] for i in specials}
+        decided.update((3 + j, ratios_mp(3 + j)[ell - 1])
+                       for j in np.flatnonzero(near).tolist())
+        worst = max(decided.values())
+        # the first sample attaining the maximum, as a sequential scan finds it
+        worst_at = min(i for i, r in decided.items() if r == worst)
+        violations = int(np.count_nonzero(ratio[~near] > 1.0))
+        violations += sum(r > 1.0 for r in decided.values())
+        entries.append(Lemma6Entry(
             ell=ell,
             asserted=ell >= threshold,
-            violations=violations[ell],
-            worst_ratio=worst_ratio[ell],
-            worst_lambda=worst_lam[ell],
-        )
-        for ell in range(1, ell_max + 1)
-    )
+            violations=violations,
+            worst_ratio=worst,
+            worst_lambda=lams[worst_at],
+        ))
     return Lemma6Report(
         c=c, d=d, samples=len(lams), seed=seed, precision=precision,
-        ell_min=threshold, entries=entries,
+        ell_min=threshold, entries=tuple(entries), escalations=len(exact),
     )
 
 
@@ -578,7 +625,7 @@ def lemma6_bound_check(
     full = lemma6_sweep(c, d, ell, samples=samples, seed=seed, precision=precision)
     return Lemma6Report(
         c=c, d=d, samples=full.samples, seed=seed, precision=precision,
-        ell_min=full.ell_min, entries=(full.entries[-1],),
+        ell_min=full.ell_min, entries=(full.entries[-1],), escalations=full.escalations,
     )
 
 
@@ -661,8 +708,11 @@ def lemma8_exhaustive_check(
     violations = 0
     max_ratio = 0.0
     for ell in range(1, ell_max + 1):
-        A = np.array(ops.ll(2 * ell).tolist(), dtype=np.int64)
+        A = ops.ll(2 * ell)
         size_cap = min(g.n_left, _condition9_max_size(g.n_left, c, d, ell))
+        # a set's sum has at most size_cap^2 terms; below the limit int64 is exact
+        if int(np.abs(A).max()) * max(size_cap, 1) ** 2 < INT64_LIMIT:
+            A = A.astype(np.int64)
         for size in range(1, size_cap + 1):
             rhs_unit = lemma8_rhs(size, c, d, ell)
             for comb in itertools.combinations(range(g.n_left), size):

@@ -1,0 +1,91 @@
+"""Sequential mpmath reference implementations of the screened numeric scans.
+
+Each one evaluates every value in mpmath, one at a time, the way the library
+did before its float64 screens; tests require the library to agree with it.
+"""
+
+import mpmath as mp
+
+from expanderlab import nbwalk, params
+
+
+def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
+                    precision=params.DEFAULT_PRECISION):
+    """(q_hat_by_convention, failures_found, holds calls) of the one-q-at-a-time scan."""
+    alpha = params._as_fraction(alpha)
+    test = params._threshold_test(c0, alpha, precision)
+    calls = 0
+
+    def holds(q):
+        nonlocal calls
+        calls += 1
+        return test(q)
+
+    failures = []
+    holds_run = 0
+    q = 1
+    while True:
+        q += 1
+        if holds(q):
+            holds_run += 1
+            if holds_run >= scan_margin:
+                break
+        else:
+            failures.append(q)
+            holds_run = 0
+    last_fail = failures[-1] if failures else 1
+    pp_failures = [f for f in failures if params.is_prime_power(f)]
+    last_fail_pp = pp_failures[-1] if pp_failures else 1
+    confirmed = 0
+    first_hold_pp = None
+    q = last_fail_pp + 1
+    while confirmed < scan_margin:
+        if params.is_prime_power(q):
+            assert holds(q), q
+            if first_hold_pp is None:
+                first_hold_pp = q
+            confirmed += 1
+        q += 1
+    convention = {
+        f"{params.ALL_INTEGERS}/{params.LAST_FAIL}": last_fail,
+        f"{params.ALL_INTEGERS}/{params.FIRST_HOLD}": last_fail + 1,
+        f"{params.PRIME_POWERS}/{params.LAST_FAIL}": last_fail_pp,
+        f"{params.PRIME_POWERS}/{params.FIRST_HOLD}": first_hold_pp,
+    }
+    return convention, len(failures), calls
+
+
+def lemma6_sweep_mp(c, d, ell_max, samples, seed, precision=30):
+    """lemma6_sweep with every sample's recurrence run in mpmath."""
+    lams = nbwalk._band_samples(c, d, samples, seed)
+    threshold = nbwalk.ell_min(c, d)
+    violations = [0] * (ell_max + 1)
+    worst_ratio = [0.0] * (ell_max + 1)
+    worst_lam = [0.0] * (ell_max + 1)
+    with mp.workdps(precision):
+        growth = mp.sqrt((c - 1) * (d - 1))
+        lead = 2 + mp.sqrt(d - 1)
+        shift = mp.mpf(c - 1 + d - 1)
+        scale = mp.mpf((c - 1) * (d - 1))
+        for lam in lams:
+            x = mp.mpf(lam) ** 2
+            p_prev = mp.mpf(c) / (c - 1)
+            p_cur = x - c
+            gpow = growth
+            for ell in range(1, ell_max + 1):
+                if ell > 1:
+                    p_prev, p_cur = p_cur, (x - shift) * p_cur - scale * p_prev
+                    gpow *= growth
+                ratio = float(abs(p_cur) / (lead * ell * gpow))
+                if ratio > worst_ratio[ell]:
+                    worst_ratio[ell] = ratio
+                    worst_lam[ell] = lam
+                if ratio > 1.0:
+                    violations[ell] += 1
+    entries = tuple(
+        nbwalk.Lemma6Entry(ell=ell, asserted=ell >= threshold, violations=violations[ell],
+                           worst_ratio=worst_ratio[ell], worst_lambda=worst_lam[ell])
+        for ell in range(1, ell_max + 1)
+    )
+    return nbwalk.Lemma6Report(c=c, d=d, samples=len(lams), seed=seed, precision=precision,
+                               ell_min=threshold, entries=entries, escalations=len(lams))

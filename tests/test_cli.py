@@ -172,13 +172,32 @@ def test_gadget_verify_witness_exit(capsys, files):
     assert payload["witness"] == [0, 1]
 
 
+def _strip_wall_time(value):
+    if isinstance(value, dict):
+        return {k: _strip_wall_time(v) for k, v in value.items() if k != "wall_time"}
+    if isinstance(value, list):
+        return [_strip_wall_time(v) for v in value]
+    return value
+
+
 def test_json_determinism_excluding_wall_time(capsys, files):
     outputs = []
     for _ in range(2):
         code, payload = run_cli(capsys, "gadget", "verify", "--in", files["k21"], "--k", "1")
         assert code == 0
-        payload.pop("wall_time")
-        outputs.append(json.dumps(payload, sort_keys=True))
+        outputs.append(json.dumps(_strip_wall_time(payload), sort_keys=True))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("qhat", "--c0", "35", "--alpha", "2"),
+    ("boundcheck", "--kind", "lemma6", "--c", "2", "--d", "3", "--ell", "14", "--samples", "500"),
+])
+def test_screened_commands_byte_determinism(capsys, argv):
+    outputs = []
+    for _ in range(2):
+        assert cli.main(list(argv)) == 0
+        outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
 
 

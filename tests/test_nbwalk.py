@@ -20,6 +20,8 @@ from expanderlab.nbwalk import (
     ell_min,
     iterate_recurrence,
     lemma6_bound_check,
+    lemma6_sweep,
+    lemma8_exhaustive_check,
     lemma8_upper_check,
     lemma9_lower_check,
     nb_path_matrix_bruteforce,
@@ -32,12 +34,14 @@ from expanderlab.spectral import incidence_graph, ramanujan_band
 from graphs import (
     SMALL_BIREGULAR_PARAMS,
     c4,
+    complete_bipartite,
     cycle,
     double_edge,
     k32,
     petersen,
     single_edge,
 )
+from oracles import lemma6_sweep_mp
 
 
 # -- operators ---------------------------------------------------------------
@@ -385,6 +389,33 @@ def test_lemma6_includes_specials():
     assert rep.samples == 10
 
 
+def _without_escalations(report) -> dict:
+    payload = report.to_dict()
+    del payload["escalations"]
+    return payload
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("c, d", [(2, 3), (2, 5), (3, 10)])
+def test_lemma6_screen_agrees_with_mpmath_loop(c, d, seed):
+    rep = lemma6_sweep(c, d, 50, samples=2_000, seed=seed)
+    assert _without_escalations(rep) == _without_escalations(lemma6_sweep_mp(c, d, 50, 2_000, seed))
+    # the specials always go to mpmath
+    assert 3 <= rep.escalations < rep.samples
+
+
+def test_lemma6_screen_agrees_with_mpmath_loop_long():
+    rep = lemma6_sweep(2, 5, 200, samples=2_000, seed=0)
+    assert _without_escalations(rep) == _without_escalations(lemma6_sweep_mp(2, 5, 200, 2_000, 0))
+
+
+def test_lemma6_every_sample_escalated_still_agrees(monkeypatch):
+    monkeypatch.setattr(nbwalk, "SCREEN_GUARD", math.inf)
+    rep = lemma6_sweep(2, 5, 50, samples=300, seed=0)
+    assert rep.escalations == rep.samples
+    assert _without_escalations(rep) == _without_escalations(lemma6_sweep_mp(2, 5, 50, 300, 0))
+
+
 # -- lemma 8 -------------------------------------------------------------------
 
 
@@ -407,6 +438,13 @@ def test_lemma8_empty_set():
 def test_lemma8_condition9_violation():
     with pytest.raises(ValueError, match="smallness"):
         lemma8_upper_check(k32(), VertexSet.left([0]), 4)
+
+
+def test_lemma8_exhaustive_object_dtype_fallback(monkeypatch):
+    graphs = [complete_bipartite(4, 2), cycle(4), incidence_graph(petersen())]
+    machine = [lemma8_exhaustive_check(g, ell_max=4).to_dict() for g in graphs]
+    monkeypatch.setattr(nbwalk, "INT64_LIMIT", 1)
+    assert [lemma8_exhaustive_check(g, ell_max=4).to_dict() for g in graphs] == machine
 
 
 def test_lemma8_requires_certified_input():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from expanderlab import params
 from expanderlab.params import (
     ALL_INTEGERS,
     FIRST_HOLD,
@@ -12,11 +13,14 @@ from expanderlab.params import (
     eml_bound,
     is_prime_power,
     prime_power,
+    prime_power_sieve,
     qhat,
     theorem1_wiring,
     theorem2_bound,
     theorem2_constants,
 )
+
+from oracles import qhat_sequential
 
 
 # -- prime powers ----------------------------------------------------------------
@@ -60,6 +64,14 @@ def test_prime_power_oracle_spot_checks_to_1e6():
         assert is_prime_power(n) == expected, n
 
 
+def test_prime_power_sieve_agrees_with_trial_division():
+    n = 10 ** 5
+    sieve = prime_power_sieve(n)
+    assert len(sieve) == n
+    assert [bool(sieve[k]) for k in range(n)] == [is_prime_power(k) for k in range(n)]
+    assert not sieve[0] and not sieve[1] and sieve[2]
+
+
 # -- q_hat -------------------------------------------------------------------------
 
 
@@ -93,6 +105,40 @@ def test_qhat_alpha_parsed_exactly():
     report = qhat(35, "2")
     assert report.alpha == Fraction(2)
     assert report.q_hat == 1492
+
+
+@pytest.mark.parametrize("c0, alpha", [(35, "2"), (100, "1.01")])
+def test_qhat_screen_agrees_with_sequential_mpmath_scan(c0, alpha):
+    report = qhat(c0, alpha)
+    convention, failures, calls = qhat_sequential(c0, alpha)
+    assert report.q_hat_by_convention == convention
+    assert report.failures_found == failures
+    # every verdict the one-q-at-a-time scan asks for, and no more
+    assert report.evaluations == calls
+    assert report.escalations == 0
+
+
+def test_qhat_every_value_escalated_still_agrees(monkeypatch):
+    monkeypatch.setattr(params, "SCREEN_GUARD", math.inf)
+    report = qhat(35, 2, scan_margin=200)
+    convention, failures, calls = qhat_sequential(35, 2, scan_margin=200)
+    assert report.q_hat_by_convention == convention
+    assert report.failures_found == failures
+    assert report.evaluations == calls
+    assert report.escalations >= calls
+
+
+def test_qhat_report_counters_in_payload():
+    # 2..11491 on the integer scan (last failure 1491 plus the margin of
+    # 10,000), then 10,000 prime powers past 1489
+    payload = qhat(35, 2).to_dict()
+    assert payload["evaluations"] == 21_490
+    assert payload["escalations"] == 0
+
+
+def test_qhat_rejects_empty_scan_margin():
+    with pytest.raises(ValueError, match="scan_margin"):
+        qhat(35, 2, scan_margin=0)
 
 
 # -- theorem 2 constants ------------------------------------------------------------
