@@ -10,7 +10,7 @@ codes:
   4  graph file parse error
   5  domain precondition violated
   6  verification failed (witness found, bound violated, equality mismatch)
-  7  enumeration budget exceeded
+  7  enumeration or search budget exceeded
 
 Pipeline stage failures use distinct codes: 10 spectral certification,
 11 gadget verification, 12 product construction, 13 unique-neighbour audit.
@@ -49,6 +49,15 @@ def _emit(payload: dict, summary: str) -> None:
 def _parse_vertex_set(text: str) -> bigraph.VertexSet:
     members = [int(t) for t in text.split(",") if t != ""]
     return bigraph.VertexSet.left(members)
+
+
+def _parse_gadget_params(text: str) -> tuple[int, int, int, int]:
+    try:
+        L, R, c, d = (int(t) for t in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected four comma-separated integers L,R,c,d, got {text!r}") from None
+    return L, R, c, d
 
 
 def _resolve_precision(args) -> int:
@@ -165,9 +174,7 @@ def cmd_gadget_sample(args) -> int:
 def cmd_gadget_verify(args) -> int:
     g = bigraph.read_graph(args.infile)
     t0 = time.perf_counter()
-    cert = gadget.verify_unique_neighbour_upto(
-        g, args.k, budget=args.budget, method=args.method, audit_pruning=args.audit_pruning
-    )
+    cert = gadget.verify_unique_neighbour_upto(g, args.k, budget=args.budget)
     payload = cert.to_dict()
     payload["params"] = {"n_left": g.n_left, "n_right": g.n_right}
     payload["wall_time"] = time.perf_counter() - t0
@@ -245,7 +252,7 @@ def cmd_pipeline(args) -> int:
         small = bigraph.read_graph(args.gadget)
         gadget_left = small.n_left
     else:
-        L0, R0, c0, d0 = (int(t) for t in args.gadget_params.split(","))
+        L0, R0, c0, d0 = args.gadget_params
         gadget_left = L0
     if gadget_left != d:
         stages.append({"stage": "gadget", "ok": False,
@@ -339,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (Philox 4x64)")
     parser.add_argument("--precision", type=int, default=None,
                         help="working precision in decimal digits (default: UNE_PRECISION or 30)")
-    parser.add_argument("--budget", type=int, default=gadget.DEFAULT_SUBSET_BUDGET,
-                        help="subset enumeration cap")
+    parser.add_argument("--budget", type=int, default=gadget.DEFAULT_NODE_BUDGET,
+                        help="search nodes a gadget verification may visit")
     parser.add_argument("--tolerance", type=float, default=spectral.DEFAULT_TOLERANCE,
                         help="spectral classification tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,9 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--in", dest="infile", required=True)
     pv.add_argument("--k", type=int, required=True)
     pv.add_argument("--budget", type=int, default=argparse.SUPPRESS)
-    pv.add_argument("--method", choices=[gadget.METHOD_PRUNED, gadget.METHOD_NAIVE],
-                    default=gadget.METHOD_PRUNED)
-    pv.add_argument("--audit-pruning", action="store_true")
     pv.set_defaults(func=cmd_gadget_verify)
 
     p = sub.add_parser("product", help="routed product of big graph and gadget")
@@ -440,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="certify -> verify gadget -> product -> audit")
     p.add_argument("--big", required=True)
     p.add_argument("--gadget", default=None, help="gadget graph file")
-    p.add_argument("--gadget-params", dest="gadget_params", default=None,
+    p.add_argument("--gadget-params", dest="gadget_params", type=_parse_gadget_params,
+                   default=None,
                    help="L,R,c,d to sample a gadget instead of loading one")
     p.add_argument("--alpha", default=None, help="declared imbalance (checked against gadget)")
     p.add_argument("--k", type=int, default=1, help="required verified unique-neighbour size")

@@ -1,4 +1,4 @@
-"""Random biregular gadgets and exhaustive unique-neighbour verification.
+"""Random biregular gadgets and a search that certifies their unique neighbours.
 
 A gadget is a fixed-size (c,d)-biregular bipartite graph whose small left
 sets all have unique neighbours.  Sampling follows the uniform half-edge
@@ -9,15 +9,14 @@ largest k with
 
     k^((c-3)/2) <= 1/(2Le) * (R/(3ec))^((c-1)/2)
 
-and verification below that scale is plain subset enumeration, optionally
-pruned by the counting argument: a set whose neighbourhood exceeds half its
-outgoing edge count must have a unique neighbour.
+and verification below that scale searches for bad sets: left sets that
+hit every right vertex they touch at least twice, counting multiplicity.
+The search only grows a set through a right vertex it hits exactly once, so
+it visits a few nodes per start vertex rather than every subset.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,11 +25,7 @@ import numpy as np
 
 from expanderlab.bigraph import BipartiteMultigraph
 
-DEFAULT_SUBSET_BUDGET = 10 ** 8
-MAX_VERIFY_K = 12
-
-METHOD_NAIVE = "exhaustive"
-METHOD_PRUNED = "exhaustive-pruned"
+DEFAULT_NODE_BUDGET = 10 ** 8
 
 # comparisons of log-domain quantities closer than this are re-run at
 # triple precision before deciding (transcendental constants preclude
@@ -146,159 +141,108 @@ def sample_gadget(p: GadgetParams) -> BipartiteMultigraph:
 
 @dataclass(frozen=True)
 class GadgetCertificate:
-    """Outcome of exhaustive unique-neighbour verification up to a target size.
+    """Outcome of the bad-set search up to a target size.
 
     verified_k is the largest size k such that *every* nonempty left set of
     size <= k has a unique neighbour.  When verification failed, witness is
     the lexicographically smallest bad set at the smallest failing size
     (so |witness| = verified_k + 1); minimality is by size only.
+    subsets_checked counts the search nodes visited (left sets, with
+    repeats); budget_exhausted means the search stopped at its node budget
+    and verified_k is the last size it finished.
     """
 
-    graph: BipartiteMultigraph
     target_k: int
     verified_k: int
     witness: tuple[int, ...] | None
-    method: str
     subsets_checked: int
     budget_exhausted: bool
-    prune_counterexamples: int = 0
 
     def to_dict(self) -> dict:
         return {
             "target_k": self.target_k,
             "verified_k": self.verified_k,
             "witness": list(self.witness) if self.witness is not None else None,
-            "method": self.method,
             "subsets_checked": self.subsets_checked,
             "budget_exhausted": self.budget_exhausted,
-            "prune_counterexamples": self.prune_counterexamples,
         }
 
 
-def _verify_naive(g: BipartiteMultigraph, k: int, budget: int):
-    """Reference enumerator: recount neighbour multiplicities for every subset."""
-    counts_by_vertex = g.left_neighbour_counts
-    checked = 0
-    for size in range(1, k + 1):
-        if math.comb(g.n_left, size) > budget - checked:
-            return size - 1, None, checked, True
-        for comb in itertools.combinations(range(g.n_left), size):
-            checked += 1
-            merged: dict[int, int] = {}
-            for u in comb:
-                for v, mult in counts_by_vertex[u].items():
-                    merged[v] = merged.get(v, 0) + mult
-            if not any(m == 1 for m in merged.values()):
-                return size - 1, comb, checked, False
-    return k, None, checked, False
-
-
-def _verify_pruned(g: BipartiteMultigraph, k: int, budget: int, audit: bool):
-    """DFS enumerator with incremental counts and the counting-argument prune.
-
-    Visits subsets of each size in lexicographic order, like the naive
-    enumerator, so both report identical witnesses.  When the neighbourhood of
-    S is larger than half the edges leaving S, S is accepted without the exact
-    test; with audit=True the exact test runs anyway and disagreements are
-    counted (soundness check of the prune).
-    """
-    counts_by_vertex = [sorted(c.items()) for c in g.left_neighbour_counts]
-    degree = g.left_degrees
-    counts = [0] * g.n_right
-    state = {"covered": 0, "unique": 0, "edges": 0, "checked": 0,
-             "prune_bad": 0, "witness": None}
-
-    def push(u: int):
-        for v, mult in counts_by_vertex[u]:
-            old = counts[v]
-            counts[v] = old + mult
-            if old == 0:
-                state["covered"] += 1
-            if old == 1:
-                state["unique"] -= 1
-            if counts[v] == 1:
-                state["unique"] += 1
-        state["edges"] += degree[u]
-
-    def pop(u: int):
-        for v, mult in counts_by_vertex[u]:
-            old = counts[v]
-            counts[v] = old - mult
-            if counts[v] == 0:
-                state["covered"] -= 1
-            if old == 1:
-                state["unique"] -= 1
-            if counts[v] == 1:
-                state["unique"] += 1
-        state["edges"] -= degree[u]
-
-    def dfs(start: int, remaining: int, stack: list[int]) -> bool:
-        """Returns False when a witness was found (abort)."""
-        if remaining == 0:
-            state["checked"] += 1
-            if 2 * state["covered"] > state["edges"]:
-                if audit and state["unique"] == 0:
-                    state["prune_bad"] += 1
-                return True
-            if state["unique"] == 0:
-                state["witness"] = tuple(stack)
-                return False
-            return True
-        for u in range(start, g.n_left - remaining + 1):
-            push(u)
-            stack.append(u)
-            ok = dfs(u + 1, remaining - 1, stack)
-            stack.pop()
-            pop(u)
-            if not ok:
-                return False
-        return True
-
-    for size in range(1, k + 1):
-        if math.comb(g.n_left, size) > budget - state["checked"]:
-            return size - 1, None, state["checked"], True, state["prune_bad"]
-        if not dfs(0, size, []):
-            return size - 1, state["witness"], state["checked"], False, state["prune_bad"]
-    return k, None, state["checked"], False, state["prune_bad"]
-
-
 def verify_unique_neighbour_upto(
-    g: BipartiteMultigraph,
-    k: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-    method: str = METHOD_PRUNED,
-    audit_pruning: bool = False,
+    g: BipartiteMultigraph, k: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> GadgetCertificate:
-    """Exhaustively check that every nonempty left set of size <= k has a unique neighbour.
+    """Check that every nonempty left set of size <= k has a unique neighbour.
 
-    k = 0 passes vacuously.  If a size would blow the subset budget the
-    certificate reports the largest fully enumerated size with
-    budget_exhausted set, rather than raising.
+    Searches for bad sets, size by size and by least member u0: from {u0}
+    the search adds, one at a time, another endpoint w > u0 of the smallest
+    right vertex hit exactly once, since any bad superset must hit that
+    vertex again.  A node with U once-hit right vertices and r members still
+    to add is dropped when U > c_max * r, c_max the largest left degree (one
+    vertex hits at most c_max of them).  k = 0 passes vacuously.  The search
+    stops before visiting node budget + 1 and reports the last finished size
+    with budget_exhausted set, rather than raising.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k > MAX_VERIFY_K:
-        raise ValueError(f"k = {k} exceeds the enumeration cap {MAX_VERIFY_K}")
-    if method not in (METHOD_NAIVE, METHOD_PRUNED):
-        raise ValueError(f"unknown method {method!r}")
     k = min(k, g.n_left)
-    if method == METHOD_NAIVE:
-        verified_k, witness, checked, exhausted = _verify_naive(g, k, budget)
-        prune_bad = 0
-    else:
-        verified_k, witness, checked, exhausted, prune_bad = _verify_pruned(
-            g, k, budget, audit_pruning
-        )
-    return GadgetCertificate(
-        graph=g,
-        target_k=k,
-        verified_k=verified_k,
-        witness=witness,
-        method=method,
-        subsets_checked=checked,
-        budget_exhausted=exhausted,
-        prune_counterexamples=prune_bad,
-    )
+    hits = [sorted(c.items()) for c in g.left_neighbour_counts]
+    ports = [sorted(set(p)) for p in g.right_ports]
+    c_max = max(g.left_degrees, default=0)
+    counts = [0] * g.n_right
+    once: set[int] = set()
+    nodes = 0
+
+    def move(u: int, sign: int):
+        for v, mult in hits[u]:
+            old = counts[v]
+            counts[v] = old + sign * mult
+            if old == 1:
+                once.discard(v)
+            if counts[v] == 1:
+                once.add(v)
+
+    def bad_sets(u0: int, size: int):
+        """Every bad set of `size` with least member u0 (None when the budget runs out)."""
+        nonlocal nodes
+        found = []
+        members: list[int] = []
+        # an explicit stack of child iterators: a branch can be `size` deep
+        branches = [iter((u0,))]
+        while branches:
+            w = next(branches[-1], None)
+            if w is None:
+                branches.pop()
+                if members:
+                    move(members.pop(), -1)
+                continue
+            if nodes == budget:
+                return None
+            nodes += 1
+            members.append(w)
+            move(w, 1)
+            if not once:
+                if len(members) == size:
+                    found.append(tuple(sorted(members)))
+                children = []
+            elif len(once) > c_max * (size - len(members)):
+                children = []
+            else:
+                children = [x for x in ports[min(once)] if x > u0 and x not in members]
+            branches.append(iter(children))
+        return found
+
+    def certificate(verified_k, witness=None, exhausted=False):
+        return GadgetCertificate(target_k=k, verified_k=verified_k, witness=witness,
+                                 subsets_checked=nodes, budget_exhausted=exhausted)
+
+    for size in range(1, k + 1):
+        for u0 in range(g.n_left - size + 1):
+            found = bad_sets(u0, size)
+            if found is None:
+                return certificate(size - 1, exhausted=True)
+            if found:
+                return certificate(size - 1, min(found))
+    return certificate(k)
 
 
 def _log_inner(L: int, R, c: int, k: int) -> mp.mpf:

@@ -765,10 +765,7 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
     the averages are over the whole graph.  Holds for any bipartite multigraph
     with average degrees at least 1, not just biregular ones.
     """
-    if ell_max > BRUTE_MAX_LEN:
-        raise EnumerationBudgetError(f"ell_max {ell_max} exceeds cap {BRUTE_MAX_LEN}")
-    if len(g.edges) > BRUTE_MAX_EDGES:
-        raise EnumerationBudgetError(f"{len(g.edges)} edges exceed cap {BRUTE_MAX_EDGES}")
+    _check_brute_budget(g, ell_max)
     m = len(g.edges)
     if g.n_left == 0 or g.n_right == 0 or m == 0:
         raise ValueError("graph must have at least one edge on each side")

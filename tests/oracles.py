@@ -1,12 +1,17 @@
-"""Sequential mpmath reference implementations of the screened numeric scans.
+"""Slow exact reference implementations that tests compare the library against.
 
-Each one evaluates every value in mpmath, one at a time, the way the library
-did before its float64 screens; tests require the library to agree with it.
+The sequential mpmath scans evaluate every value in mpmath, one at a time,
+the way the library did before its float64 screens; the naive enumerator
+recounts every left subset where the library searches for bad sets.
 """
+
+import itertools
+import math
 
 import mpmath as mp
 
 from expanderlab import nbwalk, params
+from expanderlab.bigraph import BipartiteMultigraph
 
 
 def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
@@ -89,3 +94,21 @@ def lemma6_sweep_mp(c, d, ell_max, samples, seed, precision=30):
     )
     return nbwalk.Lemma6Report(c=c, d=d, samples=len(lams), seed=seed, precision=precision,
                                ell_min=threshold, entries=entries, escalations=len(lams))
+
+
+def _verify_naive(g: BipartiteMultigraph, k: int, budget: int):
+    """Reference enumerator: recount neighbour multiplicities for every subset."""
+    counts_by_vertex = g.left_neighbour_counts
+    checked = 0
+    for size in range(1, k + 1):
+        if math.comb(g.n_left, size) > budget - checked:
+            return size - 1, None, checked, True
+        for comb in itertools.combinations(range(g.n_left), size):
+            checked += 1
+            merged: dict[int, int] = {}
+            for u in comb:
+                for v, mult in counts_by_vertex[u].items():
+                    merged[v] = merged.get(v, 0) + mult
+            if not any(m == 1 for m in merged.values()):
+                return size - 1, comb, checked, False
+    return k, None, checked, False

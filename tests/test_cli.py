@@ -276,6 +276,17 @@ def test_pipeline_port_mismatch(capsys, files):
     assert payload["stages"][-1]["reason"] == "port-count mismatch: gadget left 2 != d 3"
 
 
+@pytest.mark.parametrize("value", ["1,2", "a,b,c,d"])
+def test_pipeline_gadget_params_flag_error(capsys, files, value):
+    # rejected while parsing flags, before the spectral stage runs
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["pipeline", "--big", files["c6"], "--gadget-params", value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--gadget-params" in captured.err
+
+
 def test_pipeline_sampled_gadget(capsys, files):
     code, payload = run_cli(
         capsys, "pipeline", "--big", files["c6"], "--gadget-params", "2,1,1,2",

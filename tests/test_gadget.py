@@ -1,12 +1,12 @@
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from expanderlab.bigraph import VertexSet, unique_neighbours
+from expanderlab.bigraph import BipartiteMultigraph
 from expanderlab.gadget import (
-    METHOD_NAIVE,
-    METHOD_PRUNED,
     GadgetParams,
     lemma7_k_bound,
     lemma7_series_report,
@@ -16,7 +16,18 @@ from expanderlab.gadget import (
     verify_unique_neighbour_upto,
 )
 
-from graphs import GADGET_PARAMS, cycle, k21, k31
+from graphs import (
+    GADGET_PARAMS,
+    SMALL_BIREGULAR_PARAMS,
+    complete_bipartite,
+    cycle,
+    double_edge,
+    k21,
+    k31,
+    k32,
+    single_edge,
+)
+from oracles import _verify_naive
 
 
 # -- the probabilistic-method size bound ---------------------------------------
@@ -102,7 +113,13 @@ def test_params_validation():
         sample_biregular(4, 2, 2, 3)
 
 
-# -- exhaustive verification -----------------------------------------------------
+# -- the bad-set search -------------------------------------------------------------
+
+
+def _agrees_with_oracle(g, k):
+    cert = verify_unique_neighbour_upto(g, k)
+    verified_k, witness, _, _ = _verify_naive(g, min(k, g.n_left), 10 ** 8)
+    return (cert.verified_k, cert.witness) == (verified_k, witness)
 
 
 def test_verify_k31():
@@ -135,9 +152,39 @@ def test_verify_budget_exhaustion():
     assert cert.subsets_checked == 8
 
 
-def test_verify_k_cap():
-    with pytest.raises(ValueError, match="cap"):
-        verify_unique_neighbour_upto(k31(), 13)
+def test_verify_double_edge():
+    # a right vertex reached by two parallel edges is not a unique neighbour
+    cert = verify_unique_neighbour_upto(double_edge(), 1)
+    assert cert.verified_k == 0
+    assert cert.witness == (0,)
+
+
+def test_verify_private_neighbours_to_fourteen():
+    # each left vertex owns right vertex u and shares right vertex 14 with all
+    g = BipartiteMultigraph(14, 15, tuple(e for u in range(14) for e in ((u, u), (u, 14))))
+    cert = verify_unique_neighbour_upto(g, 14)
+    assert cert.verified_k == 14 and cert.witness is None
+    assert not cert.budget_exhausted
+    assert _agrees_with_oracle(g, 14)
+
+
+def test_witness_is_lexicographically_smallest():
+    # the search meets bad set (0, 2, 3, 4) before (0, 1, 2, 4) here
+    g = sample_biregular(6, 6, 3, 3, seed=13)
+    cert = verify_unique_neighbour_upto(g, 6)
+    assert cert.witness == (0, 1, 2, 4)
+    assert _agrees_with_oracle(g, 6)
+
+
+def test_verify_budget_counts_search_nodes():
+    g = sample_biregular(10, 5, 2, 4, seed=3)
+    full = verify_unique_neighbour_upto(g, 10)
+    exact = verify_unique_neighbour_upto(g, 10, budget=full.subsets_checked)
+    assert exact == full and not exact.budget_exhausted
+    short = verify_unique_neighbour_upto(g, 10, budget=full.subsets_checked - 1)
+    assert short.budget_exhausted and short.witness is None
+    assert short.subsets_checked == full.subsets_checked - 1
+    assert short.verified_k == full.verified_k
 
 
 def test_witness_has_no_unique_neighbour():
@@ -151,23 +198,24 @@ def test_witness_has_no_unique_neighbour():
 
 
 def test_pruned_equals_naive_small():
-    for idx, (L, R, c, d) in enumerate(GADGET_PARAMS[:5]):
+    # the pruned search against the naive enumerator in tests/oracles.py
+    fixtures = [k21(), k31(), k32(), cycle(3), cycle(5), complete_bipartite(4, 3),
+                double_edge(), single_edge()]
+    for g in fixtures:
+        assert _agrees_with_oracle(g, g.n_left)
+    for idx, (L, R, c, d) in enumerate(SMALL_BIREGULAR_PARAMS + GADGET_PARAMS):
         for seed in range(4):
             g = sample_biregular(L, R, c, d, seed=seed * 31 + idx)
-            a = verify_unique_neighbour_upto(g, min(L, 6), method=METHOD_NAIVE)
-            b = verify_unique_neighbour_upto(
-                g, min(L, 6), method=METHOD_PRUNED, audit_pruning=True
-            )
-            assert a.verified_k == b.verified_k
-            assert a.witness == b.witness
-            assert b.prune_counterexamples == 0
-
-
-def test_methods_enumerate_same_count_when_unpruned():
-    g = sample_biregular(6, 3, 2, 4, seed=5)
-    a = verify_unique_neighbour_upto(g, 6, method=METHOD_NAIVE)
-    b = verify_unique_neighbour_upto(g, 6, method=METHOD_PRUNED)
-    assert a.subsets_checked == b.subsets_checked
+            assert _agrees_with_oracle(g, L)
+    # uneven left degrees, isolated vertices and parallel edges: the prune
+    # must use the largest left degree, and multiplicities must count
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        L, R = int(rng.integers(3, 10)), int(rng.integers(1, 6))
+        edges = tuple((int(rng.integers(L)), int(rng.integers(R)))
+                      for _ in range(int(rng.integers(L, 3 * L))))
+        g = BipartiteMultigraph(L, R, edges)
+        assert _agrees_with_oracle(g, L)
 
 
 # -- repeats probability bound ----------------------------------------------------
