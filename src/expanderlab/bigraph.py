@@ -167,8 +167,10 @@ class BipartiteMultigraph:
     def biadjacency(self):
         """Dense integer biadjacency matrix B with B[u, v] = multiplicity of (u, v).
 
-        Rows are left vertices, columns right vertices.  dtype=object keeps all
-        downstream operator arithmetic in exact (arbitrary precision) integers.
+        Rows are left vertices, columns right vertices.  Entries are Python
+        integers (dtype=object), so products of B are exact at any size;
+        callers cast it to what their arithmetic needs (int64 under
+        build_nb_operators' overflow bound, float for the spectrum).
         """
         import numpy as np
 

@@ -6,10 +6,13 @@ integer recursions seeded by A_2^{LL} = B B^T - c I, collapse to polynomials
 A_{2n}^{LL} = p_n(B B^T) in the path-count variable, and the polynomial values
 on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
-for l past a computable threshold.  Path counts and polynomials are exact
-integer / rational arithmetic.  The band-bound sweep screens its samples in
-float64 and lets explicit high-precision (mpmath) arithmetic decide every
-value the floats cannot settle; its reported figures are the mpmath ones.
+for l past a computable threshold.  Path counts are exact integers: the
+operators and their sums run in int64 wherever a static bound from (c, d) and
+the length shows that no value can reach INT64_LIMIT, and in Python integers
+(object dtype) otherwise.  Polynomials use exact rational arithmetic.  The
+band-bound sweep screens its samples in float64 and lets explicit
+high-precision (mpmath) arithmetic decide every value the floats cannot
+settle; its reported figures are the mpmath ones.
 
 Convention: a non-backtracking path is a sequence of directed edge traversals
 starting at a left vertex, where consecutive edges share the intermediate
@@ -49,7 +52,7 @@ REPEATED_ROOT_EPS = 1e-8
 # re-evaluated in mpmath
 SCREEN_GUARD = 1e-6
 
-# lemma8_exhaustive_check sums operator entries in int64 only below this
+# int64 arithmetic is exact only for values below this
 INT64_LIMIT = 2 ** 63
 
 
@@ -57,11 +60,10 @@ class EnumerationBudgetError(ValueError):
     """Brute-force enumeration would exceed the configured budget."""
 
 
-def _int_eye(n: int) -> np.ndarray:
-    I = np.zeros((n, n), dtype=object)
-    for i in range(n):
-        I[i, i] = 1
-    return I
+def _exact_dtype(bound: int):
+    """The dtype for integer arithmetic whose values and partial sums are all
+    at most `bound`: int64 when that fits, Python integers (object) otherwise."""
+    return np.int64 if bound < INT64_LIMIT else object
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,9 @@ class NbOperatorSet:
     """Integer path-count operators A_l^{XY} for l = 0 .. max_len.
 
     Matrix A_l^{XY} is indexed (end vertex, start vertex): rows live on side X
-    where paths end, columns on side Y where they start.
+    where paths end, columns on side Y where they start.  Entries are exact:
+    int64 when build_nb_operators' overflow bound allows it, Python integers
+    (object dtype) otherwise.
     """
 
     c: int
@@ -102,33 +106,45 @@ class NbOperatorSet:
 def build_nb_operators(g: BipartiteMultigraph, max_len: int) -> NbOperatorSet:
     """Build all four operator families up to max_len by the exact recursions.
 
-    Entries are Python integers (object dtype), so there is no overflow to
-    guard: arithmetic is arbitrary precision by construction.
+    The arithmetic runs in int64 when the static bound max(c, d)^max_len
+    (derived below) is below INT64_LIMIT, and in Python integers (object
+    dtype) otherwise.  Both give the same entries; the choice depends only on
+    (c, d) and max_len, never on matrix values.
     """
     c, d = g.require_biregular()
     if not 0 <= max_len <= MAX_OPERATOR_LEN:
         raise ValueError(f"max_len must be in [0, {MAX_OPERATOR_LEN}]")
-    B = g.biadjacency()
+    # Overflow bound, with Delta = max(c, d).  Column j of A_l counts the NB
+    # walks of length l >= 1 from vertex j, at most Delta (Delta-1)^(l-1) of
+    # them, so no entry of A_l exceeds Delta^l.  The products B^T A_l and
+    # B A_l equal A_{l+1} + (d-1) A_{l-1} and A_{l+1} + (c-1) A_{l-1}: each
+    # entry is a sum of nonnegative terms, so its partial sums are at most the
+    # entry itself, which is at most a vertex degree times Delta^l.  The
+    # recursion forms them for l <= max_len - 1, the subtraction leaves
+    # A_{l+1} >= 0, and the seeds B B^T and c I are at most Delta^2: no value
+    # exceeds Delta^max(max_len, 1).
+    dtype = _exact_dtype(max(c, d) ** max(max_len, 1))
+    B = g.biadjacency().astype(dtype)
     Bt = B.T
     nl, nr = g.n_left, g.n_right
 
     mats = {}
-    mats[("LL", 0)] = _int_eye(nl)
-    mats[("RR", 0)] = _int_eye(nr)
-    mats[("LR", 0)] = np.zeros((nl, nr), dtype=object)
-    mats[("RL", 0)] = np.zeros((nr, nl), dtype=object)
+    mats[("LL", 0)] = np.eye(nl, dtype=dtype)
+    mats[("RR", 0)] = np.eye(nr, dtype=dtype)
+    mats[("LR", 0)] = np.zeros((nl, nr), dtype=dtype)
+    mats[("RL", 0)] = np.zeros((nr, nl), dtype=dtype)
     if max_len >= 1:
-        mats[("LL", 1)] = np.zeros((nl, nl), dtype=object)
-        mats[("RR", 1)] = np.zeros((nr, nr), dtype=object)
+        mats[("LL", 1)] = np.zeros((nl, nl), dtype=dtype)
+        mats[("RR", 1)] = np.zeros((nr, nr), dtype=dtype)
         mats[("LR", 1)] = B.copy()
         mats[("RL", 1)] = Bt.copy()
     if max_len >= 2:
         # The generic recursion is valid only for l >= 2; length 2 is seeded
         # directly (the backtrack correction differs on the first step).
-        mats[("LL", 2)] = B @ Bt - c * _int_eye(nl)
-        mats[("RR", 2)] = Bt @ B - d * _int_eye(nr)
-        mats[("LR", 2)] = np.zeros((nl, nr), dtype=object)
-        mats[("RL", 2)] = np.zeros((nr, nl), dtype=object)
+        mats[("LL", 2)] = B @ Bt - c * np.eye(nl, dtype=dtype)
+        mats[("RR", 2)] = Bt @ B - d * np.eye(nr, dtype=dtype)
+        mats[("LR", 2)] = np.zeros((nl, nr), dtype=dtype)
+        mats[("RL", 2)] = np.zeros((nr, nl), dtype=dtype)
     for l in range(2, max_len):
         mats[("RL", l + 1)] = Bt @ mats[("LL", l)] - (d - 1) * mats[("RL", l - 1)]
         mats[("RR", l + 1)] = Bt @ mats[("LR", l)] - (d - 1) * mats[("RR", l - 1)]
@@ -150,8 +166,11 @@ def count_nb_paths_operator(ops: NbOperatorSet, s: VertexSet, length: int) -> in
         raise ValueError("vertex set out of range")
     if not idx:
         return 0
-    A = ops.ll(length)
-    return int(sum(A[i, j] for i in idx for j in idx))
+    # Each column of A_length sums to at most Delta^length, the bound on the
+    # walks from one vertex (see build_nb_operators), so the |S|^2 nonnegative
+    # terms and every partial sum stay below |S| Delta^length.
+    dtype = _exact_dtype(len(idx) * max(ops.c, ops.d) ** length)
+    return int(ops.ll(length)[np.ix_(idx, idx)].astype(dtype).sum())
 
 
 def _walk_adjacency(g: BipartiteMultigraph):
@@ -279,10 +298,10 @@ class RationalPolynomial:
 
     def eval_matrix(self, X: np.ndarray) -> np.ndarray:
         """Horner evaluation at a square matrix, exact when X has int/Fraction entries."""
-        n = X.shape[0]
-        acc = self.coefficients[-1] * _int_eye(n)
+        eye = np.eye(X.shape[0], dtype=object)
+        acc = self.coefficients[-1] * eye
         for coef in reversed(self.coefficients[:-1]):
-            acc = X @ acc + coef * _int_eye(n)
+            acc = X @ acc + coef * eye
         return acc
 
 
@@ -399,16 +418,6 @@ def solve_linear_recurrence(a, b, x0, x1) -> RecurrenceSolution:
     a, b = complex(a), complex(b)
     disc = a * a + 4 * b
     return _closed_form(RecurrenceSolution, a, b, x0, x1, disc, repeated=disc == 0)
-
-
-def iterate_recurrence(a, b, x0, x1, n: int) -> complex:
-    """Direct iteration; the oracle for the closed-form evaluator."""
-    if n == 0:
-        return complex(x0)
-    prev, cur = complex(x0), complex(x1)
-    for _ in range(n - 1):
-        prev, cur = cur, a * cur + b * prev
-    return cur
 
 
 @dataclass(frozen=True)
@@ -708,11 +717,9 @@ def lemma8_exhaustive_check(
     violations = 0
     max_ratio = 0.0
     for ell in range(1, ell_max + 1):
-        A = ops.ll(2 * ell)
         size_cap = min(g.n_left, _condition9_max_size(g.n_left, c, d, ell))
-        # a set's sum has at most size_cap^2 terms; below the limit int64 is exact
-        if int(np.abs(A).max()) * max(size_cap, 1) ** 2 < INT64_LIMIT:
-            A = A.astype(np.int64)
+        # a set's sum is below |S| Delta^(2l), as in count_nb_paths_operator
+        A = ops.ll(2 * ell).astype(_exact_dtype(size_cap * max(c, d) ** (2 * ell)))
         for size in range(1, size_cap + 1):
             rhs_unit = lemma8_rhs(size, c, d, ell)
             for comb in itertools.combinations(range(g.n_left), size):

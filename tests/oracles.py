@@ -2,7 +2,8 @@
 
 The sequential mpmath scans evaluate every value in mpmath, one at a time,
 the way the library did before its float64 screens; the naive enumerator
-recounts every left subset where the library searches for bad sets.
+recounts every left subset where the library searches for bad sets; direct
+iteration of a linear recurrence checks its closed-form solution.
 """
 
 import itertools
@@ -58,6 +59,17 @@ def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
         f"{params.PRIME_POWERS}/{params.FIRST_HOLD}": first_hold_pp,
     }
     return convention, len(failures), calls
+
+
+def iterate_recurrence(a, b, x0, x1, n: int) -> complex:
+    """x_n of x_n = a x_{n-1} + b x_{n-2} by direct iteration; the oracle for
+    the closed-form evaluator nbwalk.solve_linear_recurrence."""
+    if n == 0:
+        return complex(x0)
+    prev, cur = complex(x0), complex(x1)
+    for _ in range(n - 1):
+        prev, cur = cur, a * cur + b * prev
+    return cur
 
 
 def lemma6_sweep_mp(c, d, ell_max, samples, seed, precision=30):

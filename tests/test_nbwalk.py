@@ -18,7 +18,6 @@ from expanderlab.nbwalk import (
     count_nb_paths_bruteforce,
     count_nb_paths_operator,
     ell_min,
-    iterate_recurrence,
     lemma6_bound_check,
     lemma6_sweep,
     lemma8_exhaustive_check,
@@ -41,7 +40,7 @@ from graphs import (
     petersen,
     single_edge,
 )
-from oracles import lemma6_sweep_mp
+from oracles import iterate_recurrence, lemma6_sweep_mp
 
 
 # -- operators ---------------------------------------------------------------
@@ -90,16 +89,60 @@ def test_operator_symmetries_and_nonnegativity():
             assert (ops.operator(kind, l) >= 0).all()
 
 
-def test_recursions_hold_exactly():
-    g = sample_biregular(8, 6, 3, 4, seed=2)
-    ops = build_nb_operators(g, 10)
+def _assert_recursions(g, ops):
+    # exact: B is object dtype, so the products are Python integers
     B = g.biadjacency()
-    c, d = 3, 4
-    for l in range(2, 10):
+    c, d = ops.c, ops.d
+    for l in range(2, ops.max_len):
         assert (B.T @ ops.ll(l) == ops.rl(l + 1) + (d - 1) * ops.rl(l - 1)).all()
         assert (B.T @ ops.lr(l) == ops.rr(l + 1) + (d - 1) * ops.rr(l - 1)).all()
         assert (B @ ops.rl(l) == ops.ll(l + 1) + (c - 1) * ops.ll(l - 1)).all()
         assert (B @ ops.rr(l) == ops.lr(l + 1) + (c - 1) * ops.lr(l - 1)).all()
+
+
+def test_recursions_hold_exactly():
+    g = sample_biregular(8, 6, 3, 4, seed=2)
+    _assert_recursions(g, build_nb_operators(g, 10))
+
+
+def _operators(ops):
+    return [ops.operator(kind, l) for kind in ("LL", "LR", "RL", "RR")
+            for l in range(ops.max_len + 1)]
+
+
+def test_large_degree_takes_the_object_path():
+    # 41^20 >= 2^63, so the static bound rules int64 out for K_{2,41}
+    g = complete_bipartite(2, 41)
+    ops = build_nb_operators(g, 20)
+    assert all(m.dtype == object for m in _operators(ops))
+    _assert_recursions(g, ops)
+
+
+def test_int64_operators_equal_the_object_fallback(monkeypatch):
+    graphs = [c4(), k32(), double_edge(), incidence_graph(petersen())]
+    graphs += [sample_biregular(L, R, c, d, seed=seed)
+               for L, R, c, d in SMALL_BIREGULAR_PARAMS for seed in range(3)]
+    fast = [build_nb_operators(g, 8) for g in graphs]
+    assert all(m.dtype == np.int64 for ops in fast for m in _operators(ops))
+    monkeypatch.setattr(nbwalk, "INT64_LIMIT", 1)
+    for g, ops in zip(graphs, fast):
+        exact = [m.tolist() for m in _operators(build_nb_operators(g, 8))]
+        assert all(type(x) is int for rows in exact for row in rows for x in row)
+        assert [m.tolist() for m in _operators(ops)] == exact
+
+
+@pytest.mark.parametrize("m, max_len, dtype", [(127, 8, np.int64), (127, 10, object),
+                                               (9, 19, np.int64)])
+def test_parallel_edges_at_the_int64_edge(m, max_len, dtype):
+    # m parallel edges: m (m-1)^(l-1) NB walks of length l, all between the
+    # same two vertices, so the walk-count bound is attained.  With m = 127
+    # and max_len = 10 the products reach 127^2 126^8 > 2^63 while
+    # 127^9 < 2^63: a bound one power of max(c, d) short takes int64 and wraps.
+    g = BipartiteMultigraph(1, 1, ((0, 0),) * m)
+    ops = build_nb_operators(g, max_len)
+    for l in range(1, max_len + 1):
+        assert ops.operator("LL" if l % 2 == 0 else "RL", l).tolist() == [[m * (m - 1) ** (l - 1)]]
+    assert ops.ll(0).dtype == dtype
 
 
 def test_build_rejects_bad_inputs():
@@ -138,6 +181,31 @@ def test_count_rejects_odd_length():
 
 def test_single_edge_length_two_backtracks():
     assert count_nb_paths_bruteforce(single_edge(), VertexSet.left([0]), 2) == 0
+
+
+def test_count_sums_past_int64_exactly():
+    # 150 disjoint copies of 127 parallel edges: the operators fit int64 to
+    # length 8, but the count over all 150 left vertices exceeds 2^63
+    n, m = 150, 127
+    g = BipartiteMultigraph(n, n, tuple((i, i) for i in range(n) for _ in range(m)))
+    ops = build_nb_operators(g, 8)
+    assert ops.ll(8).dtype == np.int64
+    count = count_nb_paths_operator(ops, VertexSet.left(range(n)), 8)
+    assert type(count) is int
+    assert count == n * m * (m - 1) ** 7 > nbwalk.INT64_LIMIT
+
+
+def test_count_unchanged_with_the_limit_forced_low(monkeypatch):
+    g = incidence_graph(petersen())
+    sets = [VertexSet.left(members) for members in [(0,), (0, 1), (3, 7, 11), range(15)]]
+    fast = build_nb_operators(g, 8)
+    counts = [count_nb_paths_operator(fast, s, l) for s in sets for l in (0, 2, 4, 6, 8)]
+    monkeypatch.setattr(nbwalk, "INT64_LIMIT", 1)
+    slow = build_nb_operators(g, 8)
+    for ops in (fast, slow):
+        again = [count_nb_paths_operator(ops, s, l) for s in sets for l in (0, 2, 4, 6, 8)]
+        assert again == counts
+        assert all(type(x) is int for x in again)
 
 
 def test_double_edge_multigraph_convention():
