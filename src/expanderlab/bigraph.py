@@ -169,8 +169,8 @@ class BipartiteMultigraph:
 
         Rows are left vertices, columns right vertices.  Entries are Python
         integers (dtype=object), so products of B are exact at any size;
-        callers cast it to what their arithmetic needs (int64 under
-        build_nb_operators' overflow bound, float for the spectrum).
+        callers cast it to what their arithmetic needs (float for the
+        spectrum).
         """
         import numpy as np
 

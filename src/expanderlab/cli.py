@@ -60,6 +60,12 @@ def _parse_gadget_params(text: str) -> tuple[int, int, int, int]:
     return L, R, c, d
 
 
+def _parse_positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_precision(args) -> int:
     if getattr(args, "precision", None) is not None:
         return args.precision
@@ -448,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="L,R,c,d to sample a gadget instead of loading one")
     p.add_argument("--alpha", default=None, help="declared imbalance (checked against gadget)")
-    p.add_argument("--k", type=int, default=1, help="required verified unique-neighbour size")
+    p.add_argument("--k", type=_parse_positive_int, default=1,
+                   help="required verified unique-neighbour size (a positive integer)")
     p.add_argument("--retries", type=int, default=16, help="seeds to try when sampling")
     p.add_argument("--audit-trials", dest="audit_trials", type=int, default=50)
     p.add_argument("--out", default=None, help="write the product graph here")

@@ -1,10 +1,14 @@
 """Non-backtracking walk machinery for biregular bipartite multigraphs.
 
-Four operator families A_l^{LL}, A_l^{LR}, A_l^{RL}, A_l^{RR} count
-non-backtracking paths of length l between the two sides.  They obey exact
-integer recursions seeded by A_2^{LL} = B B^T - c I, collapse to polynomials
-A_{2n}^{LL} = p_n(B B^T) in the path-count variable, and the polynomial values
-on the Ramanujan band admit the closed-form bound
+The operators A_l^{XY} count non-backtracking paths of length l that start
+on side Y and end on side X.  A path of even length ends on its start side and
+one of odd length on the other, so each start side has one nonzero sequence
+(A_l^{LL}, A_l^{RL} alternating from the left; A_l^{RR}, A_l^{LR} from the
+right).  Each sequence comes from one recursion that sums rows over a
+neighbour table: a step to a vertex adds the rows of its neighbours and takes
+back the walks that would re-traverse an edge.  The even left operators
+collapse to polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
+and the polynomial values on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
 for l past a computable threshold.  Path counts are exact integers: the
 operators and their sums run in int64 wherever a static bound from (c, d) and
@@ -15,10 +19,10 @@ high-precision (mpmath) arithmetic decide every value the floats cannot
 settle; its reported figures are the mpmath ones.
 
 Convention: a non-backtracking path is a sequence of directed edge traversals
-starting at a left vertex, where consecutive edges share the intermediate
+starting at a vertex, where consecutive edges share the intermediate
 vertex and no physical edge is immediately re-traversed in reverse.  On
 multigraphs this edge-identity rule (rather than a forbidden-vertex rule) is
-what the operator recursions count: a double edge u=v admits the length-2
+what the operator recursion counts: a double edge u=v admits the length-2
 path u-v-u using both parallel edges.
 """
 
@@ -70,10 +74,12 @@ def _exact_dtype(bound: int):
 class NbOperatorSet:
     """Integer path-count operators A_l^{XY} for l = 0 .. max_len.
 
-    Matrix A_l^{XY} is indexed (end vertex, start vertex): rows live on side X
-    where paths end, columns on side Y where they start.  Entries are exact:
-    int64 when build_nb_operators' overflow bound allows it, Python integers
-    (object dtype) otherwise.
+    A_l^{XY} is indexed (end vertex, start vertex): rows live on side X where
+    walks end, columns on side Y where they start.  Only the nonzero parity
+    sequence of each start side is stored; operator() returns a fresh zero
+    matrix for the other kinds (odd-length LL/RR, even-length LR/RL).  Entries
+    are exact: int64 when build_nb_operators' overflow bound allows it, Python
+    integers (object dtype) otherwise.
     """
 
     c: int
@@ -81,76 +87,76 @@ class NbOperatorSet:
     n_left: int
     n_right: int
     max_len: int
-    _mats: dict
+    _from_left: tuple
+    _from_right: tuple
 
     def operator(self, kind: str, length: int) -> np.ndarray:
         if kind not in ("LL", "LR", "RL", "RR"):
             raise ValueError(f"unknown operator kind {kind!r}")
         if not 0 <= length <= self.max_len:
             raise ValueError(f"length {length} outside [0, {self.max_len}]")
-        return self._mats[(kind, length)]
+        end, start = kind
+        walks = self._from_left if start == "L" else self._from_right
+        if (end == start) == (length % 2 == 0):
+            return walks[length]
+        size = {"L": self.n_left, "R": self.n_right}
+        return np.zeros((size[end], size[start]), dtype=walks[0].dtype)
 
-    def ll(self, length: int) -> np.ndarray:
-        return self.operator("LL", length)
 
-    def lr(self, length: int) -> np.ndarray:
-        return self.operator("LR", length)
+def _nb_walk_counts(n_start: int, tables, max_len: int, dtype) -> tuple:
+    """X_0 .. X_max_len with X_l[end, start] the NB walks of length l from one side.
 
-    def rl(self, length: int) -> np.ndarray:
-        return self.operator("RL", length)
-
-    def rr(self, length: int) -> np.ndarray:
-        return self.operator("RR", length)
+    tables[0] holds, for each vertex of the other side, its neighbours on the
+    start side with multiplicity; tables[1] the reverse.  X_0 = I and
+    X_{l+1} = N(X_l) - k_l X_{l-1}.  The neighbour sum N(X_l) adds, for each
+    end vertex w, the rows of X_l at w's neighbours: it extends every walk by
+    every edge, the one it just came along included.  Those backtracks are
+    the walks of length l - 1 ending at w, sent out and back along one of w's
+    deg edges other than their own last edge: k_1 = deg (a walk of length 0
+    has no last edge), k_l = deg - 1 for l >= 2, and k_0 = 0.
+    """
+    walks = [np.eye(n_start, dtype=dtype)]
+    for l in range(max_len):
+        nbrs = tables[l % 2]
+        deg = nbrs.shape[1]
+        nxt = walks[l][nbrs[:, 0]]
+        for k in range(1, deg):
+            nxt += walks[l][nbrs[:, k]]
+        if l > 0:
+            nxt -= (deg if l == 1 else deg - 1) * walks[l - 1]
+        walks.append(nxt)
+    return tuple(walks)
 
 
 def build_nb_operators(g: BipartiteMultigraph, max_len: int) -> NbOperatorSet:
-    """Build all four operator families up to max_len by the exact recursions.
+    """Count the NB walks of every length up to max_len from each side.
 
-    The arithmetic runs in int64 when the static bound max(c, d)^max_len
-    (derived below) is below INT64_LIMIT, and in Python integers (object
-    dtype) otherwise.  Both give the same entries; the choice depends only on
-    (c, d) and max_len, never on matrix values.
+    One recursion per start side (_nb_walk_counts) sums rows over
+    (n_side x degree) neighbour tables.  The arithmetic runs in int64 when the
+    static bound max(c, d)^max_len (derived below) is below INT64_LIMIT, and in
+    Python integers (object dtype) otherwise.  Both give the same entries; the
+    choice depends only on (c, d) and max_len, never on matrix values.
     """
     c, d = g.require_biregular()
     if not 0 <= max_len <= MAX_OPERATOR_LEN:
         raise ValueError(f"max_len must be in [0, {MAX_OPERATOR_LEN}]")
-    # Overflow bound, with Delta = max(c, d).  Column j of A_l counts the NB
+    # Overflow bound, with Delta = max(c, d).  Column j of X_l counts the NB
     # walks of length l >= 1 from vertex j, at most Delta (Delta-1)^(l-1) of
-    # them, so no entry of A_l exceeds Delta^l.  The products B^T A_l and
-    # B A_l equal A_{l+1} + (d-1) A_{l-1} and A_{l+1} + (c-1) A_{l-1}: each
-    # entry is a sum of nonnegative terms, so its partial sums are at most the
-    # entry itself, which is at most a vertex degree times Delta^l.  The
-    # recursion forms them for l <= max_len - 1, the subtraction leaves
-    # A_{l+1} >= 0, and the seeds B B^T and c I are at most Delta^2: no value
-    # exceeds Delta^max(max_len, 1).
+    # them, so no entry of X_l exceeds Delta^l.  Each entry of the neighbour
+    # sum N(X_l) adds deg <= Delta such entries, all nonnegative, so every
+    # partial sum is at most deg Delta^l; the recursion forms it for
+    # l <= max_len - 1, subtracts at most Delta^l from it and leaves
+    # X_{l+1} >= 0: no value exceeds Delta^max(max_len, 1).
     dtype = _exact_dtype(max(c, d) ** max(max_len, 1))
-    B = g.biadjacency().astype(dtype)
-    Bt = B.T
     nl, nr = g.n_left, g.n_right
-
-    mats = {}
-    mats[("LL", 0)] = np.eye(nl, dtype=dtype)
-    mats[("RR", 0)] = np.eye(nr, dtype=dtype)
-    mats[("LR", 0)] = np.zeros((nl, nr), dtype=dtype)
-    mats[("RL", 0)] = np.zeros((nr, nl), dtype=dtype)
-    if max_len >= 1:
-        mats[("LL", 1)] = np.zeros((nl, nl), dtype=dtype)
-        mats[("RR", 1)] = np.zeros((nr, nr), dtype=dtype)
-        mats[("LR", 1)] = B.copy()
-        mats[("RL", 1)] = Bt.copy()
-    if max_len >= 2:
-        # The generic recursion is valid only for l >= 2; length 2 is seeded
-        # directly (the backtrack correction differs on the first step).
-        mats[("LL", 2)] = B @ Bt - c * np.eye(nl, dtype=dtype)
-        mats[("RR", 2)] = Bt @ B - d * np.eye(nr, dtype=dtype)
-        mats[("LR", 2)] = np.zeros((nl, nr), dtype=dtype)
-        mats[("RL", 2)] = np.zeros((nr, nl), dtype=dtype)
-    for l in range(2, max_len):
-        mats[("RL", l + 1)] = Bt @ mats[("LL", l)] - (d - 1) * mats[("RL", l - 1)]
-        mats[("RR", l + 1)] = Bt @ mats[("LR", l)] - (d - 1) * mats[("RR", l - 1)]
-        mats[("LL", l + 1)] = B @ mats[("RL", l)] - (c - 1) * mats[("LL", l - 1)]
-        mats[("LR", l + 1)] = B @ mats[("RR", l)] - (c - 1) * mats[("LR", l - 1)]
-    return NbOperatorSet(c=c, d=d, n_left=nl, n_right=nr, max_len=max_len, _mats=mats)
+    edges = np.array(g.edges, dtype=np.intp)
+    left_nbrs = edges[np.argsort(edges[:, 0], kind="stable"), 1].reshape(nl, c)
+    right_nbrs = np.array(g.right_ports, dtype=np.intp)
+    return NbOperatorSet(
+        c=c, d=d, n_left=nl, n_right=nr, max_len=max_len,
+        _from_left=_nb_walk_counts(nl, (right_nbrs, left_nbrs), max_len, dtype),
+        _from_right=_nb_walk_counts(nr, (left_nbrs, right_nbrs), max_len, dtype),
+    )
 
 
 def count_nb_paths_operator(ops: NbOperatorSet, s: VertexSet, length: int) -> int:
@@ -170,7 +176,7 @@ def count_nb_paths_operator(ops: NbOperatorSet, s: VertexSet, length: int) -> in
     # walks from one vertex (see build_nb_operators), so the |S|^2 nonnegative
     # terms and every partial sum stay below |S| Delta^length.
     dtype = _exact_dtype(len(idx) * max(ops.c, ops.d) ** length)
-    return int(ops.ll(length)[np.ix_(idx, idx)].astype(dtype).sum())
+    return int(ops.operator("LL", length)[np.ix_(idx, idx)].astype(dtype).sum())
 
 
 def _walk_adjacency(g: BipartiteMultigraph):
@@ -358,7 +364,7 @@ def verify_operator_polynomial_identity(g: BipartiteMultigraph, n: int) -> PolyI
     B = g.biadjacency()
     X = B @ B.T
     P = p_polynomial(c, d, n).eval_matrix(X)
-    A = ops.ll(2 * n)
+    A = ops.operator("LL", 2 * n)
     worst = Fraction(0)
     worst_entry = None
     for i in range(g.n_left):
@@ -431,9 +437,6 @@ class CharRoots(RecurrenceSolution):
     d: int
     x: float
     delta: float
-
-    def evaluate_p(self, n: int) -> complex:
-        return self.evaluate(n)
 
 
 def char_delta(c: int, d: int, x: float) -> float:
@@ -719,7 +722,7 @@ def lemma8_exhaustive_check(
     for ell in range(1, ell_max + 1):
         size_cap = min(g.n_left, _condition9_max_size(g.n_left, c, d, ell))
         # a set's sum is below |S| Delta^(2l), as in count_nb_paths_operator
-        A = ops.ll(2 * ell).astype(_exact_dtype(size_cap * max(c, d) ** (2 * ell)))
+        A = ops.operator("LL", 2 * ell).astype(_exact_dtype(size_cap * max(c, d) ** (2 * ell)))
         for size in range(1, size_cap + 1):
             rhs_unit = lemma8_rhs(size, c, d, ell)
             for comb in itertools.combinations(range(g.n_left), size):

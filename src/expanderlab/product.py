@@ -21,7 +21,6 @@ from expanderlab.bigraph import (
     BipartiteMultigraph,
     VertexSet,
     _require_left,
-    neighbourhood,
     unique_neighbours,
 )
 
@@ -143,20 +142,6 @@ def per_vertex_isomorphism_check(rp: RoutedProduct) -> bool:
         if blocks[v] != expected:
             return False
     return True
-
-
-def product_unique_neighbour_via_gadget(rp: RoutedProduct, s: VertexSet) -> tuple[int, int] | None:
-    """Find a product unique neighbour of S through the inheritance route.
-
-    Scans v over N(S) in the big graph; returns the first (v, j) where the
-    port set has a gadget unique neighbour, or None when no block yields one.
-    """
-    for v in neighbourhood(rp.big, s):
-        sprime = port_set(rp.big, v, s)
-        uj = unique_neighbours(rp.gadget, sprime)
-        if uj.members:
-            return (v, uj.members[0])
-    return None
 
 
 def export_parity_check(g: BipartiteMultigraph, path) -> None:

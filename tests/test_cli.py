@@ -287,6 +287,18 @@ def test_pipeline_gadget_params_flag_error(capsys, files, value):
     assert "--gadget-params" in captured.err
 
 
+def test_pipeline_k_must_be_positive(capsys, files):
+    # rejected while parsing flags, before any stage runs
+    for value in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pipeline", "--big", files["c6"], "--gadget-params", "2,1,1,2",
+                      "--k", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--k" in captured.err
+
+
 def test_pipeline_sampled_gadget(capsys, files):
     code, payload = run_cli(
         capsys, "pipeline", "--big", files["c6"], "--gadget-params", "2,1,1,2",

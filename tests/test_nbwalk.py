@@ -48,13 +48,13 @@ from oracles import iterate_recurrence, lemma6_sweep_mp
 
 def test_a2_c4():
     ops = build_nb_operators(c4(), 2)
-    assert ops.ll(2).tolist() == [[0, 2], [2, 0]]
+    assert ops.operator("LL", 2).tolist() == [[0, 2], [2, 0]]
 
 
 def test_a2_row_sums_k32():
     # row sums of A_2^{LL} equal c (c-1)^0 (d-1)^1 = 4 for (c,d) = (2,3)
     ops = build_nb_operators(k32(), 2)
-    assert [int(x) for x in ops.ll(2).sum(axis=1)] == [4, 4, 4]
+    assert [int(x) for x in ops.operator("LL", 2).sum(axis=1)] == [4, 4, 4]
 
 
 def test_row_sums_general_formula():
@@ -63,7 +63,7 @@ def test_row_sums_general_formula():
     ops = build_nb_operators(g, 8)
     for ell in (1, 2, 3, 4):
         expected = 2 * 1 ** (ell - 1) * 3 ** ell
-        assert all(int(x) == expected for x in ops.ll(2 * ell).sum(axis=1))
+        assert all(int(x) == expected for x in ops.operator("LL", 2 * ell).sum(axis=1))
 
 
 def test_odd_ll_and_even_lr_vanish():
@@ -71,20 +71,20 @@ def test_odd_ll_and_even_lr_vanish():
     ops = build_nb_operators(g, 7)
     for l in range(ops.max_len + 1):
         if l % 2 == 1:
-            assert not ops.ll(l).any()
-            assert not ops.rr(l).any()
+            assert not ops.operator("LL", l).any()
+            assert not ops.operator("RR", l).any()
         else:
-            assert not ops.lr(l).any()
-            assert not ops.rl(l).any()
+            assert not ops.operator("LR", l).any()
+            assert not ops.operator("RL", l).any()
 
 
 def test_operator_symmetries_and_nonnegativity():
     g = sample_biregular(6, 4, 2, 3, seed=11)
     ops = build_nb_operators(g, 8)
     for l in range(ops.max_len + 1):
-        assert (ops.ll(l) == ops.ll(l).T).all()
-        assert (ops.rr(l) == ops.rr(l).T).all()
-        assert (ops.lr(l) == ops.rl(l).T).all()
+        assert (ops.operator("LL", l) == ops.operator("LL", l).T).all()
+        assert (ops.operator("RR", l) == ops.operator("RR", l).T).all()
+        assert (ops.operator("LR", l) == ops.operator("RL", l).T).all()
         for kind in ("LL", "LR", "RL", "RR"):
             assert (ops.operator(kind, l) >= 0).all()
 
@@ -93,16 +93,27 @@ def _assert_recursions(g, ops):
     # exact: B is object dtype, so the products are Python integers
     B = g.biadjacency()
     c, d = ops.c, ops.d
+    A = ops.operator
     for l in range(2, ops.max_len):
-        assert (B.T @ ops.ll(l) == ops.rl(l + 1) + (d - 1) * ops.rl(l - 1)).all()
-        assert (B.T @ ops.lr(l) == ops.rr(l + 1) + (d - 1) * ops.rr(l - 1)).all()
-        assert (B @ ops.rl(l) == ops.ll(l + 1) + (c - 1) * ops.ll(l - 1)).all()
-        assert (B @ ops.rr(l) == ops.lr(l + 1) + (c - 1) * ops.lr(l - 1)).all()
+        assert (B.T @ A("LL", l) == A("RL", l + 1) + (d - 1) * A("RL", l - 1)).all()
+        assert (B.T @ A("LR", l) == A("RR", l + 1) + (d - 1) * A("RR", l - 1)).all()
+        assert (B @ A("RL", l) == A("LL", l + 1) + (c - 1) * A("LL", l - 1)).all()
+        assert (B @ A("RR", l) == A("LR", l + 1) + (c - 1) * A("LR", l - 1)).all()
 
 
 def test_recursions_hold_exactly():
     g = sample_biregular(8, 6, 3, 4, seed=2)
     _assert_recursions(g, build_nb_operators(g, 10))
+    # a (3,4)-biregular multigraph whose edge list is grouped by neither side,
+    # with the parallel edges (0,0) and (1,2) far apart in it
+    shuffled = BipartiteMultigraph(4, 3, (
+        (1, 2), (0, 0), (3, 1), (2, 2), (0, 1), (1, 1),
+        (3, 0), (0, 0), (2, 1), (1, 2), (3, 2), (2, 0),
+    ))
+    ops = build_nb_operators(shuffled, 10)
+    _assert_recursions(shuffled, ops)
+    for length in (0, 2, 4, 6):
+        assert (nb_path_matrix_bruteforce(shuffled, length) == ops.operator("LL", length)).all()
 
 
 def _operators(ops):
@@ -142,7 +153,7 @@ def test_parallel_edges_at_the_int64_edge(m, max_len, dtype):
     ops = build_nb_operators(g, max_len)
     for l in range(1, max_len + 1):
         assert ops.operator("LL" if l % 2 == 0 else "RL", l).tolist() == [[m * (m - 1) ** (l - 1)]]
-    assert ops.ll(0).dtype == dtype
+    assert ops.operator("LL", 0).dtype == dtype
 
 
 def test_build_rejects_bad_inputs():
@@ -189,7 +200,7 @@ def test_count_sums_past_int64_exactly():
     n, m = 150, 127
     g = BipartiteMultigraph(n, n, tuple((i, i) for i in range(n) for _ in range(m)))
     ops = build_nb_operators(g, 8)
-    assert ops.ll(8).dtype == np.int64
+    assert ops.operator("LL", 8).dtype == np.int64
     count = count_nb_paths_operator(ops, VertexSet.left(range(n)), 8)
     assert type(count) is int
     assert count == n * m * (m - 1) ** 7 > nbwalk.INT64_LIMIT
@@ -254,7 +265,7 @@ def test_matrix_bruteforce_matches_operators():
     g = sample_biregular(6, 4, 2, 3, seed=13)
     ops = build_nb_operators(g, 6)
     for length in (0, 2, 4, 6):
-        assert (nb_path_matrix_bruteforce(g, length) == ops.ll(length)).all()
+        assert (nb_path_matrix_bruteforce(g, length) == ops.operator("LL", length)).all()
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -412,7 +423,7 @@ def test_char_roots_evaluate_matches_recurrence():
                     x - (c - 1) - (d - 1), -(c - 1) * (d - 1), c / (c - 1), x - c, n
                 )
                 scale = max(1.0, abs(direct))
-                assert abs(cr.evaluate_p(n) - direct) / scale < 1e-8
+                assert abs(cr.evaluate(n) - direct) / scale < 1e-8
 
 
 def test_delta_factorization():

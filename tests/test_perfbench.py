@@ -2,8 +2,9 @@
 
 A traced run with --seconds 0 does the minimum number of jobs, so this checks
 the output format, not the timings: exit code 0, a last stdout line that is
-strict JSON (no bare NaN or Infinity), every verdict correct, and every
-per-layer metric that BENCHMARK.json names present with a finite value.
+strict JSON (no bare NaN or Infinity), every verdict correct, every
+per-layer metric that BENCHMARK.json names present with a finite value, and
+the same work counts from every traced job (trace.count_mismatches is 0).
 """
 
 import json
@@ -36,3 +37,4 @@ def test_traced_run_prints_a_strict_json_result(workload):
     for entry in spec["per_layer"]:
         value = metrics[entry["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), entry["name"]
+    assert metrics["trace.count_mismatches"]["value"] == 0, done.stdout
