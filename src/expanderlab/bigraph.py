@@ -227,39 +227,36 @@ def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
 _BIGRAPH_MAGIC = "BIGRAPH v1"
 
 
-def _parse_header_fields(line: str, keys: tuple[str, str]) -> tuple[int, int]:
-    parts = line.split(" ")
-    if len(parts) != 2:
-        raise MalformedHeaderError(f"expected '{keys[0]}=<int> {keys[1]}=<int>', got {line!r}")
-    values = []
-    for part, key in zip(parts, keys):
-        prefix = key + "="
-        if not part.startswith(prefix) or not part[len(prefix):].isdigit():
-            raise MalformedHeaderError(f"bad header field {part!r} (expected {prefix}<int>)")
-        values.append(int(part[len(prefix):]))
-    return values[0], values[1]
-
-
-def _parse_edge_lines(lines: list[str], start_line: int) -> list[tuple[int, int]]:
-    edges = []
-    for offset, line in enumerate(lines):
-        parts = line.split(" ")
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise GraphFormatError(f"line {start_line + offset}: bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    return edges
-
-
-def loads_graph(text: str) -> BipartiteMultigraph:
+def _loads_edge_list(text: str, magic: str, keys: tuple[str, str]):
+    """(a, b, edges) from the magic line, a "<key0>=a <key1>=b" header line and
+    one "u v" line per edge.  Each format checks its own edge ranges."""
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 2:
         raise TruncatedFileError("file ends before the two header lines")
-    if lines[0] != _BIGRAPH_MAGIC:
-        raise MalformedHeaderError(f"expected {_BIGRAPH_MAGIC!r}, got {lines[0]!r}")
-    nl, nr = _parse_header_fields(lines[1], ("nl", "nr"))
-    edges = _parse_edge_lines(lines[2:], start_line=3)
+    if lines[0] != magic:
+        raise MalformedHeaderError(f"expected {magic!r}, got {lines[0]!r}")
+    parts = lines[1].split(" ")
+    if len(parts) != 2:
+        raise MalformedHeaderError(f"expected '{keys[0]}=<int> {keys[1]}=<int>', got {lines[1]!r}")
+    header = []
+    for part, key in zip(parts, keys):
+        prefix = key + "="
+        if not part.startswith(prefix) or not part[len(prefix):].isdigit():
+            raise MalformedHeaderError(f"bad header field {part!r} (expected {prefix}<int>)")
+        header.append(int(part[len(prefix):]))
+    edges = []
+    for number, line in enumerate(lines[2:], start=3):
+        parts = line.split(" ")
+        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            raise GraphFormatError(f"line {number}: bad edge line {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    return header[0], header[1], edges
+
+
+def loads_graph(text: str) -> BipartiteMultigraph:
+    nl, nr, edges = _loads_edge_list(text, _BIGRAPH_MAGIC, ("nl", "nr"))
     for u, v in edges:
         if u >= nl or v >= nr:
             raise IndexOutOfRangeError(f"edge ({u}, {v}) outside ranges nl={nl}, nr={nr}")

@@ -14,12 +14,19 @@ codes:
 
 Pipeline stage failures use distinct codes: 10 spectral certification,
 11 gadget verification, 12 product construction, 13 unique-neighbour audit.
+
+Result payloads are the reports' to_dict() (expanderlab.report): every field
+by name, Fractions as "p/q" strings.  Numeric flags are range-checked while
+parsing, so a value outside the range exits 2 with nothing on stdout: --k,
+--retries and --audit-trials take integers >= 1, --budget an integer >= 0
+and --tolerance a finite number > 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -60,10 +67,23 @@ def _parse_gadget_params(text: str) -> tuple[int, int, int, int]:
     return L, R, c, d
 
 
-def _parse_positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """Flag type for a decimal integer >= low."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _resolve_precision(args) -> int:
@@ -352,10 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (Philox 4x64)")
     parser.add_argument("--precision", type=int, default=None,
                         help="working precision in decimal digits (default: UNE_PRECISION or 30)")
-    parser.add_argument("--budget", type=int, default=gadget.DEFAULT_NODE_BUDGET,
-                        help="search nodes a gadget verification may visit")
-    parser.add_argument("--tolerance", type=float, default=spectral.DEFAULT_TOLERANCE,
-                        help="spectral classification tolerance")
+    parser.add_argument("--budget", type=_int_at_least(0),
+                        default=gadget.DEFAULT_NODE_BUDGET,
+                        help="search nodes a gadget verification may visit (an integer >= 0)")
+    parser.add_argument("--tolerance", type=_parse_tolerance,
+                        default=spectral.DEFAULT_TOLERANCE,
+                        help="spectral classification tolerance (a finite number > 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="singular spectrum + Ramanujan verdict")
@@ -414,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = gsub.add_parser("verify")
     pv.add_argument("--in", dest="infile", required=True)
     pv.add_argument("--k", type=int, required=True)
-    pv.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    pv.add_argument("--budget", type=_int_at_least(0), default=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_gadget_verify)
 
     p = sub.add_parser("product", help="routed product of big graph and gadget")
@@ -454,10 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="L,R,c,d to sample a gadget instead of loading one")
     p.add_argument("--alpha", default=None, help="declared imbalance (checked against gadget)")
-    p.add_argument("--k", type=_parse_positive_int, default=1,
+    p.add_argument("--k", type=_int_at_least(1), default=1,
                    help="required verified unique-neighbour size (a positive integer)")
-    p.add_argument("--retries", type=int, default=16, help="seeds to try when sampling")
-    p.add_argument("--audit-trials", dest="audit_trials", type=int, default=50)
+    p.add_argument("--retries", type=_int_at_least(1), default=16,
+                   help="seeds to try when sampling (a positive integer)")
+    p.add_argument("--audit-trials", dest="audit_trials", type=_int_at_least(1), default=50,
+                   help="random left sets to audit (a positive integer)")
     p.add_argument("--out", default=None, help="write the product graph here")
     p.set_defaults(func=cmd_pipeline)
 

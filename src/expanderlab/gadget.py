@@ -24,6 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from expanderlab.bigraph import BipartiteMultigraph
+from expanderlab.report import Report
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 
@@ -34,7 +35,7 @@ COMPARISON_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
-class GadgetParams:
+class GadgetParams(Report):
     """Side sizes, regularities and RNG seed for a gadget draw.
 
     Requires L > R >= 1 and Lc = Rd.  (c > 3 is needed only by the Lemma-7
@@ -54,9 +55,6 @@ class GadgetParams:
             raise ValueError("regularities must be positive")
         if self.L * self.c != self.R * self.d:
             raise ValueError(f"slot mismatch: L*c = {self.L * self.c} != R*d = {self.R * self.d}")
-
-    def to_dict(self) -> dict:
-        return {"L": self.L, "R": self.R, "c": self.c, "d": self.d, "seed": self.seed}
 
 
 def log_exact(x) -> mp.mpf:
@@ -140,7 +138,7 @@ def sample_gadget(p: GadgetParams) -> BipartiteMultigraph:
 
 
 @dataclass(frozen=True)
-class GadgetCertificate:
+class GadgetCertificate(Report):
     """Outcome of the bad-set search up to a target size.
 
     verified_k is the largest size k such that *every* nonempty left set of
@@ -158,15 +156,6 @@ class GadgetCertificate:
     subsets_checked: int
     budget_exhausted: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "target_k": self.target_k,
-            "verified_k": self.verified_k,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "subsets_checked": self.subsets_checked,
-            "budget_exhausted": self.budget_exhausted,
-        }
-
 
 def verify_unique_neighbour_upto(
     g: BipartiteMultigraph, k: int, budget: int = DEFAULT_NODE_BUDGET
@@ -180,10 +169,13 @@ def verify_unique_neighbour_upto(
     to add is dropped when U > c_max * r, c_max the largest left degree (one
     vertex hits at most c_max of them).  k = 0 passes vacuously.  The search
     stops before visiting node budget + 1 and reports the last finished size
-    with budget_exhausted set, rather than raising.
+    with budget_exhausted set, rather than raising; a negative budget is an
+    error.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     k = min(k, g.n_left)
     hits = [sorted(c.items()) for c in g.left_neighbour_counts]
     ports = [sorted(set(p)) for p in g.right_ports]

@@ -40,6 +40,7 @@ import numpy as np
 
 from expanderlab.bigraph import BipartiteMultigraph, VertexSet, _require_left
 from expanderlab import spectral
+from expanderlab.report import Report
 
 MAX_OPERATOR_LEN = 20
 BRUTE_MAX_LEN = 8
@@ -340,19 +341,11 @@ def p_polynomial(c: int, d: int, n: int) -> RationalPolynomial:
 
 
 @dataclass(frozen=True)
-class PolyIdentityReport:
+class PolyIdentityReport(Report):
     n: int
     ok: bool
     max_residual: Fraction
     worst_entry: tuple[int, int] | None
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ok": self.ok,
-            "max_residual": str(self.max_residual),
-            "worst_entry": list(self.worst_entry) if self.worst_entry else None,
-        }
 
 
 def verify_operator_polynomial_identity(g: BipartiteMultigraph, n: int) -> PolyIdentityReport:
@@ -487,25 +480,18 @@ def ell_min(c: int, d: int, xs=None, grid_points: int = 2048) -> int:
 
 
 @dataclass(frozen=True)
-class Lemma6Entry:
+class Lemma6Entry(Report):
     ell: int
     asserted: bool
     violations: int
     worst_ratio: float
     worst_lambda: float
 
-    def to_dict(self) -> dict:
-        return {
-            "ell": self.ell,
-            "asserted": self.asserted,
-            "violations": self.violations,
-            "worst_ratio": self.worst_ratio,
-            "worst_lambda": self.worst_lambda,
-        }
-
 
 @dataclass(frozen=True)
-class Lemma6Report:
+class Lemma6Report(Report):
+    derived = ("asserted_violations",)
+
     c: int
     d: int
     samples: int
@@ -518,19 +504,6 @@ class Lemma6Report:
     @property
     def asserted_violations(self) -> int:
         return sum(e.violations for e in self.entries if e.asserted)
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "d": self.d,
-            "samples": self.samples,
-            "seed": self.seed,
-            "precision": self.precision,
-            "ell_min": self.ell_min,
-            "asserted_violations": self.asserted_violations,
-            "escalations": self.escalations,
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 def _band_samples(c: int, d: int, samples: int, seed: int) -> list[float]:
@@ -645,7 +618,9 @@ def lemma6_bound_check(
 
 
 @dataclass(frozen=True)
-class Lemma8Report:
+class Lemma8Report(Report):
+    derived = ("ratio",)
+
     ell: int
     set_size: int
     lhs: int
@@ -655,10 +630,6 @@ class Lemma8Report:
     @property
     def ratio(self) -> float:
         return self.lhs / self.rhs if self.rhs else 0.0
-
-    def to_dict(self) -> dict:
-        return {"ell": self.ell, "set_size": self.set_size, "lhs": self.lhs,
-                "rhs": self.rhs, "ratio": self.ratio, "ok": self.ok}
 
 
 def _condition9_max_size(n: int, c: int, d: int, ell: int) -> int:
@@ -697,15 +668,11 @@ def lemma8_upper_check(
 
 
 @dataclass(frozen=True)
-class Lemma8ExhaustiveReport:
+class Lemma8ExhaustiveReport(Report):
     ell_max: int
     checked: int
     violations: int
     max_ratio: float
-
-    def to_dict(self) -> dict:
-        return {"ell_max": self.ell_max, "checked": self.checked,
-                "violations": self.violations, "max_ratio": self.max_ratio}
 
 
 def lemma8_exhaustive_check(
@@ -740,19 +707,17 @@ def lemma8_exhaustive_check(
 
 
 @dataclass(frozen=True)
-class Lemma9Entry:
+class Lemma9Entry(Report):
     ell: int
     count: int
     lower_bound: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {"ell": self.ell, "count": self.count,
-                "lower_bound": self.lower_bound, "ok": self.ok}
-
 
 @dataclass(frozen=True)
-class Lemma9Report:
+class Lemma9Report(Report):
+    derived = ("ok",)
+
     avg_left_degree: float
     avg_right_degree: float
     entries: tuple[Lemma9Entry, ...]
@@ -760,12 +725,6 @@ class Lemma9Report:
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {"avg_left_degree": self.avg_left_degree,
-                "avg_right_degree": self.avg_right_degree,
-                "ok": self.ok,
-                "entries": [e.to_dict() for e in self.entries]}
 
 
 def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report:

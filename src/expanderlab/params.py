@@ -35,6 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from expanderlab import gadget
+from expanderlab.report import Report
 
 ALL_INTEGERS = "all-integers"
 PRIME_POWERS = "prime-powers-only"
@@ -157,7 +158,7 @@ def _threshold_screen(c0: int, alpha: Fraction, precision: int):
 
 
 @dataclass(frozen=True)
-class ParamReport:
+class ParamReport(Report):
     c0: int
     alpha: Fraction
     q_hat: int
@@ -169,21 +170,6 @@ class ParamReport:
     failures_found: int
     evaluations: int
     escalations: int
-
-    def to_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "alpha": str(self.alpha),
-            "q_hat": self.q_hat,
-            "interpretation": self.interpretation,
-            "boundary": self.boundary,
-            "scan_margin": self.scan_margin,
-            "precision": self.precision,
-            "q_hat_by_convention": {k: v for k, v in sorted(self.q_hat_by_convention.items())},
-            "failures_found": self.failures_found,
-            "evaluations": self.evaluations,
-            "escalations": self.escalations,
-        }
 
 
 def qhat(
@@ -291,7 +277,7 @@ def qhat(
 
 
 @dataclass(frozen=True)
-class Theorem2Constants:
+class Theorem2Constants(Report):
     c: int
     d: int
     eps: float
@@ -299,10 +285,6 @@ class Theorem2Constants:
     delta: float
     bound: float
     star_root: float
-
-    def to_dict(self) -> dict:
-        return {"c": self.c, "d": self.d, "eps": self.eps, "ell": self.ell,
-                "delta": self.delta, "bound": self.bound, "star_root": self.star_root}
 
 
 class NoFeasibleEllError(ValueError):
@@ -364,7 +346,7 @@ def eml_bound(c: int, d: int, eps: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class Theorem1Sheet:
+class Theorem1Sheet(Report):
     c0: int
     alpha: Fraction
     q: int
@@ -377,22 +359,6 @@ class Theorem1Sheet:
     product_right_degree: int
     epsilon_max: Fraction
     lemma7_k: int
-
-    def to_dict(self) -> dict:
-        return {
-            "c0": self.c0,
-            "alpha": str(self.alpha),
-            "q": self.q,
-            "c": self.c,
-            "d": self.d,
-            "r0": self.r0,
-            "gadget_left": self.gadget_left,
-            "required_k": self.required_k,
-            "product_left_degree": self.product_left_degree,
-            "product_right_degree": self.product_right_degree,
-            "epsilon_max": str(self.epsilon_max),
-            "lemma7_k": self.lemma7_k,
-        }
 
 
 def theorem1_wiring(

@@ -23,6 +23,7 @@ from expanderlab.bigraph import (
     _require_left,
     unique_neighbours,
 )
+from expanderlab.report import Report
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,9 @@ def port_set(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
 
 
 @dataclass(frozen=True)
-class InheritanceReport:
+class InheritanceReport(Report):
+    derived = ("ok",)
+
     v: int
     ports: tuple[int, ...]
     gadget_unique: tuple[int, ...]
@@ -88,16 +91,6 @@ class InheritanceReport:
     @property
     def ok(self) -> bool:
         return self.counterexample is None
-
-    def to_dict(self) -> dict:
-        return {
-            "v": self.v,
-            "ports": list(self.ports),
-            "gadget_unique": list(self.gadget_unique),
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-            "vacuous": self.vacuous,
-            "ok": self.ok,
-        }
 
 
 def inheritance_check(rp: RoutedProduct, s: VertexSet, v: int) -> InheritanceReport:

@@ -22,10 +22,9 @@ from expanderlab.bigraph import (
     GraphFormatError,
     IndexOutOfRangeError,
     MalformedHeaderError,
-    TruncatedFileError,
-    _parse_edge_lines,
-    _parse_header_fields,
+    _loads_edge_list,
 )
+from expanderlab.report import Report
 
 # Dense symmetric eigensolver contract: absolute eigenvalue error <= 1e-9 is
 # comfortably met by LAPACK dsyevd at these sizes; larger inputs are rejected.
@@ -73,7 +72,7 @@ class RegularGraph:
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Report):
     c: int
     d: int
     singular_values: tuple[float, ...]
@@ -82,18 +81,6 @@ class SpectrumReport:
     ramanujan: bool
     tolerance: float
     band: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "d": self.d,
-            "singular_values": list(self.singular_values),
-            "classifications": list(self.classifications),
-            "trivial_multiplicity": self.trivial_multiplicity,
-            "ramanujan": self.ramanujan,
-            "tolerance": self.tolerance,
-            "band": list(self.band),
-        }
 
 
 def ramanujan_band(c: int, d: int) -> tuple[float, float]:
@@ -153,7 +140,9 @@ def incidence_graph(g: RegularGraph) -> BipartiteMultigraph:
 
 
 @dataclass(frozen=True)
-class IncidenceIdentityReport:
+class IncidenceIdentityReport(Report):
+    derived = ("ok",)
+
     d: int
     max_residual: float
     squared_singular_values: tuple[float, ...]
@@ -162,15 +151,6 @@ class IncidenceIdentityReport:
     @property
     def ok(self) -> bool:
         return self.max_residual < 1e-8
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "max_residual": self.max_residual,
-            "squared_singular_values": list(self.squared_singular_values),
-            "shifted_adjacency_eigenvalues": list(self.shifted_adjacency_eigenvalues),
-            "ok": self.ok,
-        }
 
 
 def incidence_spectrum_identity_check(g: RegularGraph) -> IncidenceIdentityReport:
@@ -211,15 +191,7 @@ _GRAPH_MAGIC = "GRAPH v1"
 
 
 def loads_regular_graph(text: str) -> RegularGraph:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2:
-        raise TruncatedFileError("file ends before the two header lines")
-    if lines[0] != _GRAPH_MAGIC:
-        raise MalformedHeaderError(f"expected {_GRAPH_MAGIC!r}, got {lines[0]!r}")
-    n, d = _parse_header_fields(lines[1], ("n", "d"))
-    edges = _parse_edge_lines(lines[2:], start_line=3)
+    n, d, edges = _loads_edge_list(text, _GRAPH_MAGIC, ("n", "d"))
     for u, v in edges:
         if u >= n or v >= n:
             raise IndexOutOfRangeError(f"edge ({u}, {v}) outside range n={n}")

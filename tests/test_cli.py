@@ -287,16 +287,44 @@ def test_pipeline_gadget_params_flag_error(capsys, files, value):
     assert "--gadget-params" in captured.err
 
 
-def test_pipeline_k_must_be_positive(capsys, files):
+@pytest.mark.parametrize("flag", ["--k", "--retries", "--audit-trials"])
+def test_pipeline_counts_must_be_positive(capsys, files, flag):
     # rejected while parsing flags, before any stage runs
     for value in ("0", "-3", "x"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pipeline", "--big", files["c6"], "--gadget-params", "2,1,1,2",
-                      "--k", value])
+                      flag, value])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--k" in captured.err
+        assert flag in captured.err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--budget", ["--budget", "-1", "gadget", "verify", "--k", "3"]),
+    ("--budget", ["gadget", "verify", "--k", "3", "--budget", "-1"]),
+    *(("--tolerance", ["--tolerance", value, "spectrum"])
+      for value in ("nan", "inf", "-1", "0", "x")),
+])
+def test_out_of_range_flag_is_a_flag_error(capsys, files, flag, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--in", files["k32"]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_tolerance_flag_accepts_a_finite_positive_value(capsys, files):
+    code, payload = run_cli(capsys, "--tolerance", "1e-2", "spectrum", "--in", files["k32"])
+    assert code == 0 and payload["tolerance"] == 0.01
+
+
+def test_budget_zero_is_exhausted_at_once(capsys, files):
+    code, payload = run_cli(capsys, "gadget", "verify", "--in", files["k32"], "--k", "3",
+                            "--budget", "0")
+    assert code == cli.EXIT_BUDGET
+    assert payload["budget_exhausted"] is True and payload["subsets_checked"] == 0
 
 
 def test_pipeline_sampled_gadget(capsys, files):

@@ -152,6 +152,16 @@ def test_verify_budget_exhaustion():
     assert cert.subsets_checked == 8
 
 
+def test_verify_budget_zero_and_negative():
+    g = sample_biregular(8, 4, 2, 4, seed=0)
+    cert = verify_unique_neighbour_upto(g, 3, budget=0)
+    assert cert.budget_exhausted and cert.verified_k == 0 and cert.subsets_checked == 0
+    # the search stops when its node count equals the budget, which a
+    # negative budget never does: it would switch the cap off
+    with pytest.raises(ValueError, match="budget"):
+        verify_unique_neighbour_upto(g, 3, budget=-1)
+
+
 def test_verify_double_edge():
     # a right vertex reached by two parallel edges is not a unique neighbour
     cert = verify_unique_neighbour_upto(double_edge(), 1)
