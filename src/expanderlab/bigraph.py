@@ -9,7 +9,6 @@ concurrent workers.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -35,6 +34,20 @@ LEFT = "left"
 RIGHT = "right"
 
 
+def _is_normalised(members: tuple) -> bool:
+    """True when members are plain ints, nonnegative and strictly increasing.
+
+    Such a tuple is already a VertexSet's normal form, and checking costs a
+    fraction of re-sorting it (the pipeline audit passes sorted draws).
+    """
+    prev = -1
+    for m in members:
+        if type(m) is not int or m <= prev:
+            return False
+        prev = m
+    return True
+
+
 @dataclass(frozen=True)
 class VertexSet:
     """A duplicate-free, sorted set of vertex indices on one side of a bipartition."""
@@ -45,10 +58,25 @@ class VertexSet:
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT):
             raise ValueError(f"side must be {LEFT!r} or {RIGHT!r}, got {self.side!r}")
+        if type(self.members) is tuple and _is_normalised(self.members):
+            return
         norm = tuple(sorted(set(int(m) for m in self.members)))
         if norm and norm[0] < 0:
             raise ValueError("vertex indices must be nonnegative")
         object.__setattr__(self, "members", norm)
+
+    @classmethod
+    def _normal(cls, side: str, members: tuple[int, ...]) -> "VertexSet":
+        """A set from members already in normal form, without __init__'s checks.
+
+        For members this package derived from a graph's own tables as plain
+        ints, ascending and without repeats (N(S), unique neighbours, port
+        sets); a frozen dataclass's __init__ costs about three times as much.
+        """
+        s = object.__new__(cls)
+        object.__setattr__(s, "side", side)
+        object.__setattr__(s, "members", members)
+        return s
 
     @classmethod
     def left(cls, members) -> "VertexSet":
@@ -117,12 +145,29 @@ class BipartiteMultigraph:
         return tuple(tuple(p) for p in ports)
 
     @cached_property
+    def right_port_indices(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """For each right vertex v, a map u -> the ports i with E(v, i) = u, ascending.
+
+        The inverse of right_ports: a left vertex joined to v by a multi-edge
+        holds several ports, an absent one none.  It turns the port set of v
+        in S into |S| lookups instead of a scan of all d ports.
+        """
+        table = []
+        for ports in self.right_ports:
+            slots: dict[int, list[int]] = {}
+            for i, u in enumerate(ports):
+                slots.setdefault(u, []).append(i)
+            table.append({u: tuple(i) for u, i in slots.items()})
+        return tuple(table)
+
+    @cached_property
     def left_neighbour_counts(self) -> tuple[dict[int, int], ...]:
         """For each left vertex, a map right-vertex -> edge multiplicity."""
-        counts: list[Counter] = [Counter() for _ in range(self.n_left)]
+        counts: list[dict[int, int]] = [{} for _ in range(self.n_left)]
         for u, v in self.edges:
-            counts[u][v] += 1
-        return tuple(dict(c) for c in counts)
+            row = counts[u]
+            row[v] = row.get(v, 0) + 1
+        return tuple(counts)
 
     def port(self, v: int, i: int) -> int:
         """The indexed neighbour E(v, i)."""
@@ -192,18 +237,20 @@ def _require_left(s: VertexSet, g: BipartiteMultigraph):
         raise ValueError(f"vertex {s.members[-1]} out of range for left side of size {g.n_left}")
 
 
-def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> Counter:
-    counts: Counter = Counter()
-    for u in s:
-        for v, mult in g.left_neighbour_counts[u].items():
-            counts[v] += mult
+def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> dict[int, int]:
+    """Right vertex -> number of edges into S, for each right vertex of N(S)."""
+    counts: dict[int, int] = {}
+    rows = g.left_neighbour_counts
+    for u in s.members:
+        for v, mult in rows[u].items():
+            counts[v] = counts.get(v, 0) + mult
     return counts
 
 
 def neighbourhood(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
     """N(S): right vertices adjacent to at least one member of S."""
     _require_left(s, g)
-    return VertexSet.right(_edge_counts_into(g, s).keys())
+    return VertexSet._normal(RIGHT, tuple(sorted(_edge_counts_into(g, s))))
 
 
 def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
@@ -214,7 +261,7 @@ def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
     """
     _require_left(s, g)
     counts = _edge_counts_into(g, s)
-    return VertexSet.right(v for v, k in counts.items() if k == 1)
+    return VertexSet._normal(RIGHT, tuple(sorted([v for v, k in counts.items() if k == 1])))
 
 
 # -- BIGRAPH v1 file format -------------------------------------------------

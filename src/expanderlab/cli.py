@@ -17,9 +17,11 @@ Pipeline stage failures use distinct codes: 10 spectral certification,
 
 Result payloads are the reports' to_dict() (expanderlab.report): every field
 by name, Fractions as "p/q" strings.  Numeric flags are range-checked while
-parsing, so a value outside the range exits 2 with nothing on stdout: --k,
---retries and --audit-trials take integers >= 1, --budget an integer >= 0
-and --tolerance a finite number > 0.
+parsing, so a value outside the range exits 2 with nothing on stdout:
+pipeline --k, --retries, --audit-trials and boundcheck --samples, --ell-max
+take integers >= 1; --budget, gadget verify --k, nbops --max-len and nbcount
+--len integers >= 0; --precision (and UNE_PRECISION) an integer >= 15; and
+--tolerance a finite number > 0.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ EXIT_STAGE_SPECTRAL = 10
 EXIT_STAGE_GADGET = 11
 EXIT_STAGE_PRODUCT = 12
 EXIT_STAGE_AUDIT = 13
+
+# Fewest decimal digits --precision and UNE_PRECISION accept.  params screens
+# in float64 with mpmath constants converted at the working precision; 15
+# digits are mpmath's 53 bits, float64's own, so no constant reaches the
+# screen coarser than the screen's arithmetic.  At 0 to 4 digits q_hat is
+# wrong on every published table row (4642 for (35, 2), where it is 1492).
+PRECISION_FLOOR = 15
 
 
 def _emit(payload: dict, summary: str) -> None:
@@ -76,6 +85,9 @@ def _int_at_least(low: int):
     return parse
 
 
+_parse_precision = _int_at_least(PRECISION_FLOOR)
+
+
 def _parse_tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -84,13 +96,6 @@ def _parse_tolerance(text: str) -> float:
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
-
-
-def _resolve_precision(args) -> int:
-    if getattr(args, "precision", None) is not None:
-        return args.precision
-    env = os.environ.get("UNE_PRECISION")
-    return int(env) if env else 30
 
 
 def cmd_spectrum(args) -> int:
@@ -164,7 +169,7 @@ def cmd_boundcheck(args) -> int:
             raise ValueError("lemma6 needs --c, --d and --ell")
         report = nbwalk.lemma6_bound_check(
             args.c, args.d, args.ell, samples=args.samples, seed=args.seed,
-            precision=_resolve_precision(args),
+            precision=args.precision,
         )
         entry = report.entries[-1]
         _emit(report.to_dict(),
@@ -231,7 +236,7 @@ def cmd_qhat(args) -> int:
     report = params.qhat(
         args.c0, args.alpha, interpretation=args.interpretation,
         boundary=args.boundary, scan_margin=args.margin,
-        precision=_resolve_precision(args),
+        precision=args.precision,
     )
     _emit(report.to_dict(), f"q_hat({args.c0}, {args.alpha}) = {report.q_hat}")
     return EXIT_OK
@@ -339,7 +344,7 @@ def cmd_pipeline(args) -> int:
     for _ in range(args.audit_trials):
         size = int(rng.integers(1, verified_k + 1))
         size = min(size, big.n_left)
-        members = sorted(int(x) for x in rng.choice(big.n_left, size=size, replace=False))
+        members = sorted(rng.choice(big.n_left, size=size, replace=False).tolist())
         s = bigraph.VertexSet.left(members)
         audit["trials"] += 1
         chosen = None
@@ -370,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build and verify bipartite unique-neighbour expanders at desk scale.",
     )
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (Philox 4x64)")
-    parser.add_argument("--precision", type=int, default=None,
-                        help="working precision in decimal digits (default: UNE_PRECISION or 30)")
+    parser.add_argument("--precision", type=_parse_precision, default=None,
+                        help=f"working precision in decimal digits, an integer >= {PRECISION_FLOOR} "
+                             f"(default: UNE_PRECISION or {params.DEFAULT_PRECISION})")
     parser.add_argument("--budget", type=_int_at_least(0),
                         default=gadget.DEFAULT_NODE_BUDGET,
                         help="search nodes a gadget verification may visit (an integer >= 0)")
@@ -391,13 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nbops", help="non-backtracking path operators")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-len", dest="max_len", type=int, required=True)
+    p.add_argument("--max-len", dest="max_len", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_nbops)
 
     p = sub.add_parser("nbcount", help="count non-backtracking paths")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--set", required=True, help="comma-separated left vertices")
-    p.add_argument("--len", dest="length", type=int, required=True)
+    p.add_argument("--len", dest="length", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=["operator", "brute", "both"], default="both")
     p.add_argument("--brute-mode", dest="brute_mode",
                    choices=[nbwalk.ENDPOINTS_IN_S, nbwalk.ALL_IN_S],
@@ -415,10 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--ell", type=int)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--in", dest="infile")
     p.add_argument("--set")
-    p.add_argument("--ell-max", dest="ell_max", type=int, default=8)
+    p.add_argument("--ell-max", dest="ell_max", type=_int_at_least(1), default=8)
     p.set_defaults(func=cmd_boundcheck)
 
     p = sub.add_parser("gadget", help="sample / verify unique-neighbour gadgets")
@@ -435,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_gadget_sample)
     pv = gsub.add_parser("verify")
     pv.add_argument("--in", dest="infile", required=True)
-    pv.add_argument("--k", type=int, required=True)
+    pv.add_argument("--k", type=_int_at_least(0), required=True)
     pv.add_argument("--budget", type=_int_at_least(0), default=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_gadget_verify)
 
@@ -491,6 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.precision is None:
+        env = os.environ.get("UNE_PRECISION") or str(params.DEFAULT_PRECISION)
+        try:
+            args.precision = _parse_precision(env)
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"UNE_PRECISION: {exc}")
     if args.command == "pipeline" and not (args.gadget or args.gadget_params):
         parser.error("pipeline needs --gadget or --gadget-params")
     try:

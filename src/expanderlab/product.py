@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from expanderlab.bigraph import (
+    LEFT,
     BipartiteMultigraph,
     VertexSet,
     _require_left,
@@ -70,12 +71,17 @@ def routed_product(big: BipartiteMultigraph, gadget: BipartiteMultigraph) -> Rou
 
 
 def port_set(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
-    """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports."""
+    """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports.
+
+    Read from big.right_port_indices, so the cost is |S| lookups, not d.
+    """
     _require_left(s, big)
     if not 0 <= v < big.n_right:
         raise ValueError(f"right vertex {v} out of range")
-    sset = set(s.members)
-    return VertexSet.left(i for i, u in enumerate(big.right_ports[v]) if u in sset)
+    slots = big.right_port_indices[v]
+    ports = [i for u in s.members for i in slots.get(u, ())]
+    ports.sort()
+    return VertexSet._normal(LEFT, tuple(ports))
 
 
 @dataclass(frozen=True)
@@ -100,17 +106,16 @@ def inheritance_check(rp: RoutedProduct, s: VertexSet, v: int) -> InheritanceRep
     be a unique neighbour of S in the product.  A counterexample would falsify
     the inheritance lemma; vacuous means S' had no unique neighbour to test.
     """
-    _require_left(s, rp.big)
     sprime = port_set(rp.big, v, s)
     if not sprime.members:
         raise ValueError(f"right vertex {v} is not a neighbour of the set")
     uj = unique_neighbours(rp.gadget, sprime)
     sset = set(s.members)
+    product_ports = rp.product.right_ports
     counterexample = None
-    for j in uj:
-        target = rp.product_right_index(v, j)
-        incident = sum(1 for u in rp.product.right_ports[target] if u in sset)
-        if incident != 1:
+    for j in uj.members:
+        incident = [u for u in product_ports[rp.product_right_index(v, j)] if u in sset]
+        if len(incident) != 1:
             counterexample = (v, j)
             break
     return InheritanceReport(

@@ -84,3 +84,20 @@ GADGET_PARAMS = [
     (6, 2, 1, 3),
     (10, 2, 1, 5),
 ]
+
+
+def random_multigraph(rng, max_side: int = 7, max_edges: int = 30) -> BipartiteMultigraph:
+    """A bipartite multigraph with parallel edges and, often, isolated vertices.
+
+    Edges join random members of a random subset of each side, and a random
+    share of them is repeated, so a right vertex can hold one left vertex at
+    several ports.
+    """
+    n_left, n_right = (int(x) for x in rng.integers(1, max_side + 1, size=2))
+    lefts = rng.choice(n_left, size=int(rng.integers(1, n_left + 1)), replace=False)
+    rights = rng.choice(n_right, size=int(rng.integers(1, n_right + 1)), replace=False)
+    edges = [(int(rng.choice(lefts)), int(rng.choice(rights)))
+             for _ in range(int(rng.integers(0, max_edges + 1)))]
+    edges += [edges[int(i)] for i in rng.integers(0, len(edges), size=len(edges) // 3)]
+    order = rng.permutation(len(edges))
+    return BipartiteMultigraph(n_left, n_right, tuple(edges[int(i)] for i in order))

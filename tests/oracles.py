@@ -3,16 +3,19 @@
 The sequential mpmath scans evaluate every value in mpmath, one at a time,
 the way the library did before its float64 screens; the naive enumerator
 recounts every left subset where the library searches for bad sets; direct
-iteration of a linear recurrence checks its closed-form solution.
+iteration of a linear recurrence checks its closed-form solution; the scan
+primitives recount N(S), unique neighbours and port sets from the edge list
+and the port lists, the way the library did before its lookup tables.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import mpmath as mp
 
-from expanderlab import nbwalk, params
-from expanderlab.bigraph import BipartiteMultigraph
+from expanderlab import nbwalk, params, product
+from expanderlab.bigraph import BipartiteMultigraph, VertexSet
 
 
 def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
@@ -124,3 +127,46 @@ def _verify_naive(g: BipartiteMultigraph, k: int, budget: int):
             if not any(m == 1 for m in merged.values()):
                 return size - 1, comb, checked, False
     return k, None, checked, False
+
+
+def _edge_counts_scan(g: BipartiteMultigraph, s: VertexSet) -> Counter:
+    """Right vertex -> edges into S, counted over the whole edge list."""
+    members = set(s.members)
+    return Counter(v for u, v in g.edges if u in members)
+
+
+def neighbourhood_scan(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
+    return VertexSet.right(_edge_counts_scan(g, s).keys())
+
+
+def unique_neighbours_scan(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
+    return VertexSet.right(v for v, k in _edge_counts_scan(g, s).items() if k == 1)
+
+
+def port_set_scan(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
+    """S' = {i : E(v, i) in S} by a scan of all d ports of v."""
+    sset = set(s.members)
+    return VertexSet.left(i for i, u in enumerate(big.right_ports[v]) if u in sset)
+
+
+def inheritance_check_scan(rp: product.RoutedProduct, s: VertexSet, v: int):
+    """product.inheritance_check on the scan primitives above."""
+    sprime = port_set_scan(rp.big, v, s)
+    if not sprime.members:
+        raise ValueError(f"right vertex {v} is not a neighbour of the set")
+    uj = unique_neighbours_scan(rp.gadget, sprime)
+    sset = set(s.members)
+    counterexample = None
+    for j in uj:
+        target = rp.product_right_index(v, j)
+        incident = sum(1 for u in rp.product.right_ports[target] if u in sset)
+        if incident != 1:
+            counterexample = (v, j)
+            break
+    return product.InheritanceReport(
+        v=v,
+        ports=sprime.members,
+        gadget_unique=uj.members,
+        counterexample=counterexample,
+        vacuous=len(uj) == 0,
+    )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,15 @@ from expanderlab.bigraph import (
 )
 from expanderlab.gadget import sample_biregular
 
-from graphs import SMALL_BIREGULAR_PARAMS, c4, complete_bipartite, double_edge, k32
+from graphs import (
+    SMALL_BIREGULAR_PARAMS,
+    c4,
+    complete_bipartite,
+    double_edge,
+    k32,
+    random_multigraph,
+)
+from oracles import neighbourhood_scan, unique_neighbours_scan
 
 
 def test_degrees_c4():
@@ -71,6 +80,32 @@ def test_vertex_set_normalizes():
     assert s.members == (1, 2, 3)
     assert len(s) == 3
     assert 2 in s
+
+
+def test_vertex_set_keeps_a_normal_tuple_and_normalises_the_rest():
+    members = (0, 4, 9)
+    assert VertexSet.left(members).members is members
+    assert VertexSet.left((np.int64(9), True, 4)).members == (1, 4, 9)
+    assert all(type(m) is int for m in VertexSet.left((np.int64(9), True)).members)
+    with pytest.raises(ValueError, match="nonnegative"):
+        VertexSet.left((-1, 2))
+
+
+def test_neighbourhood_and_unique_neighbours_match_the_scan_oracles():
+    rng = np.random.default_rng(17)
+    seen = {"parallel edge": 0, "isolated vertex": 0, "empty set": 0}
+    for _ in range(300):
+        g = random_multigraph(rng)
+        seen["parallel edge"] += len(set(g.edges)) < len(g.edges)
+        seen["isolated vertex"] += 0 in g.left_degrees or 0 in g.right_degrees
+        sets = [rng.choice(g.n_left, size=int(rng.integers(0, g.n_left + 1)), replace=False)
+                for _ in range(6)]
+        for members in sets:
+            s = VertexSet.left(members)
+            seen["empty set"] += len(s) == 0
+            assert neighbourhood(g, s) == neighbourhood_scan(g, s)
+            assert unique_neighbours(g, s) == unique_neighbours_scan(g, s)
+    assert all(seen.values()), seen
 
 
 def test_vertex_set_bad_side():

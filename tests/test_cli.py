@@ -305,6 +305,13 @@ def test_pipeline_counts_must_be_positive(capsys, files, flag):
     ("--budget", ["gadget", "verify", "--k", "3", "--budget", "-1"]),
     *(("--tolerance", ["--tolerance", value, "spectrum"])
       for value in ("nan", "inf", "-1", "0", "x")),
+    *(("--precision", ["--precision", value, "spectrum"]) for value in ("14", "0", "-1", "x")),
+    ("--max-len", ["nbops", "--max-len", "-1"]),
+    ("--len", ["nbcount", "--set", "0", "--len", "-1"]),
+    ("--k", ["gadget", "verify", "--k", "-1"]),
+    ("--ell-max", ["boundcheck", "--kind", "lemma9", "--ell-max", "0"]),
+    ("--samples", ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "2",
+                   "--samples", "0"]),
 ])
 def test_out_of_range_flag_is_a_flag_error(capsys, files, flag, argv):
     with pytest.raises(SystemExit) as exc:
@@ -313,6 +320,36 @@ def test_out_of_range_flag_is_a_flag_error(capsys, files, flag, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+@pytest.mark.parametrize("value", ["14", "0", "x"])
+def test_precision_env_below_the_floor_is_a_flag_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("UNE_PRECISION", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["qhat", "--c0", "35", "--alpha", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "UNE_PRECISION" in captured.err
+
+
+@pytest.mark.parametrize("c0,alpha,q_hat", [(35, "2", 1492), (100, "1.01", 1135),
+                                            (10, "2", 18907), (100, "100", 136051)])
+def test_precision_floor_reproduces_the_table(capsys, c0, alpha, q_hat):
+    code, payload = run_cli(capsys, "--precision", str(cli.PRECISION_FLOOR), "qhat",
+                            "--c0", str(c0), "--alpha", alpha)
+    assert code == 0
+    assert payload["q_hat"] == q_hat and payload["precision"] == cli.PRECISION_FLOOR
+
+
+@pytest.mark.parametrize("argv", [
+    ["nbops", "--max-len", "0"],
+    ["nbcount", "--set", "0", "--len", "0"],
+    ["gadget", "verify", "--k", "0"],
+])
+def test_zero_stays_a_valid_count(capsys, files, argv):
+    code, payload = run_cli(capsys, *argv, "--in", files["c4"])
+    assert code == 0 and payload is not None
 
 
 def test_tolerance_flag_accepts_a_finite_positive_value(capsys, files):

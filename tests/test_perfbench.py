@@ -5,6 +5,8 @@ the output format, not the timings: exit code 0, a last stdout line that is
 strict JSON (no bare NaN or Infinity), every verdict correct, every
 per-layer metric that BENCHMARK.json names present with a finite value, and
 the same work counts from every traced job (trace.count_mismatches is 0).
+It also pins the work counts of the seed-0 jobs, so that a speed-up which
+skips work (fewer search nodes, audit trials or lemma checks) fails here.
 """
 
 import json
@@ -16,6 +18,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+WORK_COUNTS = {
+    "certify": {"params.qhat_failures_found": 2623, "nbwalk.lemma6_evals": 100_000,
+                "nbwalk.lemma8_checks": 20},
+    "construct": {"gadget.subsets_checked": 1457, "product.inheritance_checks": 1000,
+                  "product.audit_conclusive_ratio": 1.0},
+}
 
 
 def _reject_constant(name):
@@ -38,3 +48,4 @@ def test_traced_run_prints_a_strict_json_result(workload):
         value = metrics[entry["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), entry["name"]
     assert metrics["trace.count_mismatches"]["value"] == 0, done.stdout
+    assert {name: metrics[name]["value"] for name in WORK_COUNTS[workload]} == WORK_COUNTS[workload]

@@ -6,6 +6,7 @@ import pytest
 from expanderlab.bigraph import BipartiteMultigraph, VertexSet, neighbourhood, unique_neighbours
 from expanderlab.gadget import sample_biregular
 from expanderlab.product import (
+    RoutedProduct,
     export_parity_check,
     inheritance_check,
     per_vertex_isomorphism_check,
@@ -13,7 +14,8 @@ from expanderlab.product import (
     routed_product,
 )
 
-from graphs import c4, k21, k32
+from graphs import c4, k21, k32, random_multigraph
+from oracles import inheritance_check_scan, port_set_scan
 
 
 def test_c4_routed_through_k21_is_c4():
@@ -65,6 +67,59 @@ def test_port_set_with_multi_edges():
     g = BipartiteMultigraph(2, 1, ((0, 0), (0, 0), (1, 0)))
     assert port_set(g, 0, VertexSet.left([0])).members == (0, 1)
     assert port_set(g, 0, VertexSet.left([1])).members == (2,)
+
+
+def test_port_set_matches_the_scan_oracle():
+    rng = np.random.default_rng(29)
+    repeated_ports = empty_sets = 0
+    for _ in range(300):
+        g = random_multigraph(rng)
+        sets = [rng.choice(g.n_left, size=int(rng.integers(0, g.n_left + 1)), replace=False)
+                for _ in range(4)]
+        for members in sets:
+            s = VertexSet.left(members)
+            empty_sets += len(s) == 0
+            for v in range(g.n_right):
+                ports = port_set(g, v, s)
+                assert ports == port_set_scan(g, v, s)
+                owners = [g.port(v, i) for i in ports]
+                repeated_ports += len(set(owners)) < len(owners)
+    assert repeated_ports and empty_sets
+
+
+def _inheritance_reports_agree(rp, s, v) -> bool:
+    """Both checks give the same report, or both reject v; True for a report."""
+    try:
+        want = inheritance_check_scan(rp, s, v)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a neighbour"):
+            inheritance_check(rp, s, v)
+        return False
+    assert inheritance_check(rp, s, v) == want
+    return True
+
+
+def test_inheritance_check_matches_the_oracle():
+    # on routed products, and on products of another gadget of the same shape
+    # filed under this one, where counterexamples occur
+    rng = np.random.default_rng(31)
+    reports = counterexamples = 0
+    for big, gadget in _random_pairs(40):
+        rp = routed_product(big, gadget)
+        stranger = sample_biregular(gadget.n_left, gadget.n_right, *gadget.require_biregular(),
+                                    seed=int(rng.integers(1 << 30)))
+        mixed = RoutedProduct(big=big, gadget=gadget,
+                              product=routed_product(big, stranger).product,
+                              c=rp.c, d=rp.d, c0=rp.c0, d0=rp.d0)
+        for _ in range(10):
+            members = rng.choice(big.n_left, size=int(rng.integers(1, big.n_left + 1)),
+                                 replace=False)
+            s = VertexSet.left(members)
+            for v in range(big.n_right):
+                reports += _inheritance_reports_agree(rp, s, v)
+                if _inheritance_reports_agree(mixed, s, v):
+                    counterexamples += not inheritance_check(mixed, s, v).ok
+    assert reports and counterexamples
 
 
 def test_inheritance_c4_k21():
