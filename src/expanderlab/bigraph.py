@@ -66,19 +66,6 @@ class VertexSet:
         object.__setattr__(self, "members", norm)
 
     @classmethod
-    def _normal(cls, side: str, members: tuple[int, ...]) -> "VertexSet":
-        """A set from members already in normal form, without __init__'s checks.
-
-        For members this package derived from a graph's own tables as plain
-        ints, ascending and without repeats (N(S), unique neighbours, port
-        sets); a frozen dataclass's __init__ costs about three times as much.
-        """
-        s = object.__new__(cls)
-        object.__setattr__(s, "side", side)
-        object.__setattr__(s, "members", members)
-        return s
-
-    @classmethod
     def left(cls, members) -> "VertexSet":
         return cls(LEFT, tuple(members))
 
@@ -149,8 +136,7 @@ class BipartiteMultigraph:
         """For each right vertex v, a map u -> the ports i with E(v, i) = u, ascending.
 
         The inverse of right_ports: a left vertex joined to v by a multi-edge
-        holds several ports, an absent one none.  It turns the port set of v
-        in S into |S| lookups instead of a scan of all d ports.
+        holds several ports, an absent one none.
         """
         table = []
         for ports in self.right_ports:
@@ -250,7 +236,7 @@ def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> dict[int, int]:
 def neighbourhood(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
     """N(S): right vertices adjacent to at least one member of S."""
     _require_left(s, g)
-    return VertexSet._normal(RIGHT, tuple(sorted(_edge_counts_into(g, s))))
+    return VertexSet.right(sorted(_edge_counts_into(g, s)))
 
 
 def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
@@ -261,7 +247,7 @@ def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
     """
     _require_left(s, g)
     counts = _edge_counts_into(g, s)
-    return VertexSet._normal(RIGHT, tuple(sorted([v for v, k in counts.items() if k == 1])))
+    return VertexSet.right(sorted([v for v, k in counts.items() if k == 1]))
 
 
 # -- BIGRAPH v1 file format -------------------------------------------------

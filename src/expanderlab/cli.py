@@ -20,8 +20,9 @@ by name, Fractions as "p/q" strings.  Numeric flags are range-checked while
 parsing, so a value outside the range exits 2 with nothing on stdout:
 pipeline --k, --retries, --audit-trials and boundcheck --samples, --ell-max
 take integers >= 1; --budget, gadget verify --k, nbops --max-len and nbcount
---len integers >= 0; --precision (and UNE_PRECISION) an integer >= 15; and
---tolerance a finite number > 0.
+--len integers >= 0; --precision an integer >= 15; and --tolerance a finite
+number > 0.  UNE_PRECISION, read by qhat and boundcheck --kind lemma6 when
+--precision is not given, must be an integer >= 15 as well.
 """
 
 from __future__ import annotations
@@ -497,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision is None:
+    uses_precision = args.command == "qhat" or (
+        args.command == "boundcheck" and args.kind == "lemma6")
+    if uses_precision and args.precision is None:
         env = os.environ.get("UNE_PRECISION") or str(params.DEFAULT_PRECISION)
         try:
             args.precision = _parse_precision(env)

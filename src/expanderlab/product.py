@@ -18,7 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from expanderlab.bigraph import (
-    LEFT,
     BipartiteMultigraph,
     VertexSet,
     _require_left,
@@ -71,17 +70,12 @@ def routed_product(big: BipartiteMultigraph, gadget: BipartiteMultigraph) -> Rou
 
 
 def port_set(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
-    """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports.
-
-    Read from big.right_port_indices, so the cost is |S| lookups, not d.
-    """
+    """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports."""
     _require_left(s, big)
     if not 0 <= v < big.n_right:
         raise ValueError(f"right vertex {v} out of range")
     slots = big.right_port_indices[v]
-    ports = [i for u in s.members for i in slots.get(u, ())]
-    ports.sort()
-    return VertexSet._normal(LEFT, tuple(ports))
+    return VertexSet.left(sorted([i for u in s.members for i in slots.get(u, ())]))
 
 
 @dataclass(frozen=True)

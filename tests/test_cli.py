@@ -322,15 +322,28 @@ def test_out_of_range_flag_is_a_flag_error(capsys, files, flag, argv):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["qhat", "--c0", "35", "--alpha", "2"],
+    ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "2", "--samples", "5"],
+])
 @pytest.mark.parametrize("value", ["14", "0", "x"])
-def test_precision_env_below_the_floor_is_a_flag_error(capsys, monkeypatch, value):
+def test_precision_env_below_the_floor_is_a_flag_error(capsys, monkeypatch, value, argv):
     monkeypatch.setenv("UNE_PRECISION", value)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["qhat", "--c0", "35", "--alpha", "2"])
+        cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "UNE_PRECISION" in captured.err
+
+
+def test_precision_env_is_ignored_where_precision_is_unused(capsys, monkeypatch, files):
+    monkeypatch.setenv("UNE_PRECISION", "10")
+    code, payload = run_cli(capsys, "spectrum", "--in", files["k32"])
+    assert code == 0 and payload["ramanujan"] is True
+    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", files["c4"],
+                            "--ell-max", "2")
+    assert code == 0 and payload["ok"] is True
 
 
 @pytest.mark.parametrize("c0,alpha,q_hat", [(35, "2", 1492), (100, "1.01", 1135),
