@@ -38,7 +38,6 @@ from expanderlab.nbwalk import (
     build_nb_operators,
     count_nb_paths_operator,
     count_nb_paths_bruteforce,
-    count_nb_paths_undirected,
     nb_path_matrix_bruteforce,
     p_polynomial,
     verify_operator_polynomial_identity,

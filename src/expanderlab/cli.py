@@ -10,7 +10,8 @@ codes:
   4  graph file parse error
   5  domain precondition violated
   6  verification failed (witness found, bound violated, equality mismatch)
-  7  enumeration or search budget exceeded
+  7  budget exceeded: path enumeration, walk length, the gadget search's
+     nodes or the qhat scan's q limit
 
 Pipeline stage failures use distinct codes: 10 spectral certification,
 11 gadget verification, 12 product construction, 13 unique-neighbour audit.
@@ -18,11 +19,12 @@ Pipeline stage failures use distinct codes: 10 spectral certification,
 Result payloads are the reports' to_dict() (expanderlab.report): every field
 by name, Fractions as "p/q" strings.  Numeric flags are range-checked while
 parsing, so a value outside the range exits 2 with nothing on stdout:
-pipeline --k, --retries, --audit-trials and boundcheck --samples, --ell-max
-take integers >= 1; --budget, gadget verify --k, nbops --max-len and nbcount
---len integers >= 0; --precision an integer >= 15; and --tolerance a finite
-number > 0.  UNE_PRECISION, read by qhat and boundcheck --kind lemma6 when
---precision is not given, must be an integer >= 15 as well.
+pipeline --k, --retries, --audit-trials, qhat --margin and boundcheck
+--samples, --ell, --ell-max take integers >= 1; --seed, --budget, gadget
+verify --k, nbops --max-len and nbcount --len integers >= 0; --precision an
+integer >= 15; and --tolerance a finite number > 0.  UNE_PRECISION, read by
+qhat and boundcheck --kind lemma6 when --precision is not given, must be an
+integer >= 15 as well.
 """
 
 from __future__ import annotations
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="expanderlab",
         description="Build and verify bipartite unique-neighbour expanders at desk scale.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (Philox 4x64)")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0,
+                        help="RNG seed (Philox 4x64), an integer >= 0")
     parser.add_argument("--precision", type=_parse_precision, default=None,
                         help=f"working precision in decimal digits, an integer >= {PRECISION_FLOOR} "
                              f"(default: UNE_PRECISION or {params.DEFAULT_PRECISION})")
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["lemma6", "lemma8", "lemma9"], required=True)
     p.add_argument("--c", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--ell", type=int)
+    p.add_argument("--ell", type=_int_at_least(1))
     p.add_argument("--samples", type=_int_at_least(1), default=10_000)
     p.add_argument("--in", dest="infile")
     p.add_argument("--set")
@@ -437,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--d", type=int, required=True)
     # --seed and --budget repeat top-level flags; SUPPRESS keeps the top-level
     # value unless the flag is given after the subcommand
-    ps.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    ps.add_argument("--seed", type=_int_at_least(0), default=argparse.SUPPRESS)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_gadget_sample)
     pv = gsub.add_parser("verify")
@@ -461,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=params.ALL_INTEGERS)
     p.add_argument("--boundary", choices=[params.LAST_FAIL, params.FIRST_HOLD],
                    default=params.FIRST_HOLD)
-    p.add_argument("--margin", type=int, default=params.DEFAULT_SCAN_MARGIN)
+    p.add_argument("--margin", type=_int_at_least(1), default=params.DEFAULT_SCAN_MARGIN)
     p.set_defaults(func=cmd_qhat)
 
     p = sub.add_parser("constants", help="walk length and delta for given (c, d, eps)")

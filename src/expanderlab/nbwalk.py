@@ -1,22 +1,23 @@
-"""Non-backtracking walk machinery for biregular bipartite multigraphs.
+"""Non-backtracking walk machinery for bipartite multigraphs.
 
 The operators A_l^{XY} count non-backtracking paths of length l that start
 on side Y and end on side X.  A path of even length ends on its start side and
 one of odd length on the other, so each start side has one nonzero sequence
 (A_l^{LL}, A_l^{RL} alternating from the left; A_l^{RR}, A_l^{LR} from the
-right).  Each sequence comes from one recursion that sums rows over a
-neighbour table: a step to a vertex adds the rows of its neighbours and takes
-back the walks that would re-traverse an edge.  The even left operators
+right).  Every walk count comes from one recursion over neighbour tables
+padded to the largest degree, for any degree sequence: a step to a vertex adds
+the rows of its neighbours and takes back the walks that would re-traverse an
+edge.  From the identity it gives the operators, from 1_S lemma 8's count and
+from all-ones vectors lemma 9's.  On biregular graphs the even left operators
 collapse to polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
 and the polynomial values on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
-for l past a computable threshold.  Path counts are exact integers: the
-operators and their sums run in int64 wherever a static bound from (c, d) and
-the length shows that no value can reach INT64_LIMIT, and in Python integers
-(object dtype) otherwise.  Polynomials use exact rational arithmetic.  The
-band-bound sweep screens its samples in float64 and lets explicit
-high-precision (mpmath) arithmetic decide every value the floats cannot
-settle; its reported figures are the mpmath ones.
+for l past a computable threshold.  Path counts are exact integers: int64
+wherever a static bound from the degrees and the length shows that no value
+can reach INT64_LIMIT, Python integers (object dtype) otherwise.  Polynomials
+use exact rational arithmetic.  The band-bound sweep screens its samples in
+float64 and lets explicit high-precision (mpmath) arithmetic decide every
+value the floats cannot settle; its reported figures are the mpmath ones.
 
 Convention: a non-backtracking path is a sequence of directed edge traversals
 starting at a vertex, where consecutive edges share the intermediate
@@ -104,60 +105,80 @@ class NbOperatorSet:
         return np.zeros((size[end], size[start]), dtype=walks[0].dtype)
 
 
-def _nb_walk_counts(n_start: int, tables, max_len: int, dtype) -> tuple:
-    """X_0 .. X_max_len with X_l[end, start] the NB walks of length l from one side.
+def _neighbour_tables(g: BipartiteMultigraph) -> tuple:
+    """(left, right): per side, deg[u] the degree of u and row u of table its
+    neighbours with multiplicity, padded with the other side's size (the index
+    of a walk count's zero row); a last row holds only that index."""
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    tables = []
+    for side, (n, n_other) in enumerate(((g.n_left, g.n_right), (g.n_right, g.n_left))):
+        heads, tails = edges[:, side], edges[:, 1 - side]
+        order = np.argsort(heads, kind="stable")
+        deg = np.bincount(heads, minlength=n)
+        slot = np.arange(len(heads)) - (np.cumsum(deg) - deg)[heads[order]]
+        table = np.full((n + 1, max(deg.max(initial=0), 1)), n_other, dtype=np.intp)
+        table[heads[order], slot] = tails[order]
+        tables.append((table, deg))
+    return tuple(tables)
 
-    tables[0] holds, for each vertex of the other side, its neighbours on the
-    start side with multiplicity; tables[1] the reverse.  X_0 = I and
-    X_{l+1} = N(X_l) - k_l X_{l-1}.  The neighbour sum N(X_l) adds, for each
-    end vertex w, the rows of X_l at w's neighbours: it extends every walk by
-    every edge, the one it just came along included.  Those backtracks are
-    the walks of length l - 1 ending at w, sent out and back along one of w's
-    deg edges other than their own last edge: k_1 = deg (a walk of length 0
-    has no last edge), k_l = deg - 1 for l >= 2, and k_0 = 0.
+
+def _nb_walk_counts(x0: np.ndarray, tables, max_len: int) -> list:
+    """X_0 = x0 .. X_max_len: X_l[w, j] sums x0[v, j] over the NB walks of
+    length l from v to w.  x0 holds nonnegative integer weights on the start
+    side (the identity, or 1_S) and a last row of zeros that every X_l keeps;
+    tables is (the other side's, the start side's) from _neighbour_tables.
+
+    X_{l+1} = N(X_l) - k_l X_{l-1}: N(X_l) adds, for each end vertex w, the
+    rows of X_l at w's neighbours, extending every walk by every edge, its
+    last one included.  Those backtracks are the walks of length l - 1 ending
+    at w, sent out and back along one of w's deg(w) edges other than their own
+    last edge: k_1 = deg (a walk of length 0 has no last edge), k_l = deg - 1
+    for l >= 2, and k_0 = 0.  Overflow: a vertex starts at most
+    Delta (Delta-1)^(l-1) NB walks of length l >= 1 (Delta the largest
+    degree), so no column of X_l sums to more than W Delta^l (W the largest
+    column sum of x0), and an entry of N(X_l), l < max_len, adds at most Delta
+    such nonnegative entries: int64 when W Delta^max(max_len, 1) is below
+    INT64_LIMIT, Python integers (object) otherwise.
     """
-    walks = [np.eye(n_start, dtype=dtype)]
+    if not 0 <= max_len <= MAX_OPERATOR_LEN:
+        raise ValueError(f"max_len must be in [0, {MAX_OPERATOR_LEN}]")
+    delta = int(max(tables[0][1].max(initial=0), tables[1][1].max(initial=0)))
+    weight = int(x0.sum(axis=0).max(initial=0))
+    dtype = _exact_dtype(weight * delta ** max(max_len, 1))
+    walks = [x0.astype(dtype, copy=False)]
     for l in range(max_len):
-        nbrs = tables[l % 2]
-        deg = nbrs.shape[1]
+        nbrs, deg = tables[l % 2]
         nxt = walks[l][nbrs[:, 0]]
-        for k in range(1, deg):
-            nxt += walks[l][nbrs[:, k]]
+        for j in range(1, nbrs.shape[1]):
+            nxt += walks[l][nbrs[:, j]]
         if l > 0:
-            nxt -= (deg if l == 1 else deg - 1) * walks[l - 1]
+            k = deg if l == 1 else deg - 1
+            # one number where every degree is equal: it multiplies faster than a column
+            k = int(k[0]) if (k == k[0]).all() else k.astype(dtype)[:, None]
+            nxt[:-1] -= k * walks[l - 1][:-1]
         walks.append(nxt)
-    return tuple(walks)
+    return walks
 
 
 def build_nb_operators(g: BipartiteMultigraph, max_len: int) -> NbOperatorSet:
-    """Count the NB walks of every length up to max_len from each side.
-
-    One recursion per start side (_nb_walk_counts) sums rows over
-    (n_side x degree) neighbour tables.  The arithmetic runs in int64 when the
-    static bound max(c, d)^max_len (derived below) is below INT64_LIMIT, and in
-    Python integers (object dtype) otherwise.  Both give the same entries; the
-    choice depends only on (c, d) and max_len, never on matrix values.
-    """
+    """The NB walks of every length up to max_len from each side: the walk
+    recursion from the identity, in int64 when max(c, d)^max(max_len, 1) is
+    below INT64_LIMIT (so by (c, d) and max_len, never by matrix values)."""
     c, d = g.require_biregular()
-    if not 0 <= max_len <= MAX_OPERATOR_LEN:
-        raise ValueError(f"max_len must be in [0, {MAX_OPERATOR_LEN}]")
-    # Overflow bound, with Delta = max(c, d).  Column j of X_l counts the NB
-    # walks of length l >= 1 from vertex j, at most Delta (Delta-1)^(l-1) of
-    # them, so no entry of X_l exceeds Delta^l.  Each entry of the neighbour
-    # sum N(X_l) adds deg <= Delta such entries, all nonnegative, so every
-    # partial sum is at most deg Delta^l; the recursion forms it for
-    # l <= max_len - 1, subtracts at most Delta^l from it and leaves
-    # X_{l+1} >= 0: no value exceeds Delta^max(max_len, 1).
-    dtype = _exact_dtype(max(c, d) ** max(max_len, 1))
-    nl, nr = g.n_left, g.n_right
-    edges = np.array(g.edges, dtype=np.intp)
-    left_nbrs = edges[np.argsort(edges[:, 0], kind="stable"), 1].reshape(nl, c)
-    right_nbrs = np.array(g.right_ports, dtype=np.intp)
-    return NbOperatorSet(
-        c=c, d=d, n_left=nl, n_right=nr, max_len=max_len,
-        _from_left=_nb_walk_counts(nl, (right_nbrs, left_nbrs), max_len, dtype),
-        _from_right=_nb_walk_counts(nr, (left_nbrs, right_nbrs), max_len, dtype),
-    )
+    left, right = _neighbour_tables(g)
+    from_left, from_right = (
+        tuple(x[:-1] for x in _nb_walk_counts(np.eye(n + 1, n, dtype=np.int64), tables, max_len))
+        for n, tables in ((g.n_left, (right, left)), (g.n_right, (left, right))))
+    return NbOperatorSet(c=c, d=d, n_left=g.n_left, n_right=g.n_right, max_len=max_len,
+                         _from_left=from_left, _from_right=from_right)
+
+
+def _left_indices(s: VertexSet, n_left: int) -> list:
+    if s.side != "left":
+        raise ValueError("vertex set must live on the left side")
+    if s.members and s.members[-1] >= n_left:
+        raise ValueError("vertex set out of range")
+    return list(s.members)
 
 
 def count_nb_paths_operator(ops: NbOperatorSet, s: VertexSet, length: int) -> int:
@@ -166,27 +187,11 @@ def count_nb_paths_operator(ops: NbOperatorSet, s: VertexSet, length: int) -> in
         raise ValueError("operator path counts are defined for even lengths")
     if not 0 <= length <= ops.max_len:
         raise ValueError(f"length {length} outside [0, {ops.max_len}]")
-    if s.side != "left":
-        raise ValueError("vertex set must live on the left side")
-    idx = list(s.members)
-    if idx and idx[-1] >= ops.n_left:
-        raise ValueError("vertex set out of range")
-    if not idx:
-        return 0
-    # Each column of A_length sums to at most Delta^length, the bound on the
-    # walks from one vertex (see build_nb_operators), so the |S|^2 nonnegative
-    # terms and every partial sum stay below |S| Delta^length.
+    idx = _left_indices(s, ops.n_left)
+    # A column of A_length sums to at most Delta^length (see _nb_walk_counts),
+    # so no partial sum of the |S|^2 nonnegative terms exceeds |S| Delta^length.
     dtype = _exact_dtype(len(idx) * max(ops.c, ops.d) ** length)
     return int(ops.operator("LL", length)[np.ix_(idx, idx)].astype(dtype).sum())
-
-
-def _walk_adjacency(g: BipartiteMultigraph):
-    left_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_left)]
-    right_adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n_right)]
-    for eid, (u, v) in enumerate(g.edges):
-        left_adj[u].append((eid, v))
-        right_adj[v].append((eid, u))
-    return left_adj, right_adj
 
 
 def _check_brute_budget(g: BipartiteMultigraph, length: int):
@@ -207,11 +212,13 @@ def _nb_walks(
     side when from_left, else the right): consecutive edges share their middle
     vertex, and no edge is traversed twice in a row.  A step into a left vertex
     outside allowed_left (None: any) is not taken.  A walk that never reaches
-    the left side tallies -1 as its last left vertex.  This is the oracle the
-    operator recursions are tested against, so it shares no code with
-    build_nb_operators.
+    the left side tallies -1 as its last left vertex.  It cross-checks the walk
+    recursion, so it shares no code with _nb_walk_counts.
     """
-    left_adj, right_adj = _walk_adjacency(g)
+    left_adj, right_adj = [[] for _ in range(g.n_left)], [[] for _ in range(g.n_right)]
+    for eid, (u, v) in enumerate(g.edges):
+        left_adj[u].append((eid, v))
+        right_adj[v].append((eid, u))
     tally: Counter = Counter()
 
     def dfs(on_left: bool, vertex: int, last_eid: int, depth: int, start: int, last_left: int):
@@ -250,27 +257,6 @@ def count_nb_paths_bruteforce(
         return sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
     walks = _nb_walks(g, length, s.members)
     return sum(n for (_, last_left), n in walks.items() if last_left in sset)
-
-
-def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int) -> int:
-    """Non-backtracking paths counted once per edge sequence (not per direction),
-    started anywhere, with every left-side vertex of the path in S.
-
-    This is the count the whole-graph lower bound (lemma9_lower_check) is
-    about: its tight cases (length 1 equals |E|; the 4-cycle at length 2) and
-    its validity on asymmetric graphs both need reversal-invariant counting.
-    Equal to half the directed count over both starting sides, which is exact
-    because no non-backtracking path is its own reversal.
-    """
-    _require_left(s, g)
-    _check_brute_budget(g, length)
-    if length == 0:
-        raise ValueError("length-0 paths have no orientation to quotient")
-    sset = set(s.members)
-    count = (sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
-             + sum(_nb_walks(g, length, range(g.n_right), False, sset).values()))
-    assert count % 2 == 0
-    return count // 2
 
 
 def nb_path_matrix_bruteforce(g: BipartiteMultigraph, length: int) -> np.ndarray:
@@ -651,18 +637,26 @@ def lemma8_upper_check(
 ) -> Lemma8Report:
     """M_{2l}(S, G) <= |S| ((2+sqrt(d-1)) l + 2) ((c-1)(d-1))^{l/2}.
 
-    Requires a certified bipartite Ramanujan input and the smallness condition
-    |S| ((c-1)(d-1))^{l/2} <= n_left (checked exactly).  Pass a prebuilt
-    operator set and certified=True when batch checking.
+    Requires l >= 1, a certified bipartite Ramanujan input and the smallness
+    condition |S| ((c-1)(d-1))^{l/2} <= n_left (checked exactly).  The walk
+    recursion counts from 1_S; pass prebuilt operators and certified=True when
+    batch checking.
     """
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
     c, d = g.require_biregular()
     if not certified and not spectral.spectrum(g, tolerance).ramanujan:
         raise ValueError("graph is not certified bipartite Ramanujan")
     if len(s) > _condition9_max_size(g.n_left, c, d, ell):
         raise ValueError("set too large: smallness condition |S|((c-1)(d-1))^(l/2) <= n fails")
     if ops is None:
-        ops = build_nb_operators(g, 2 * ell)
-    lhs = count_nb_paths_operator(ops, s, 2 * ell)
+        idx = _left_indices(s, g.n_left)
+        x0 = np.zeros((g.n_left + 1, 1), dtype=np.int64)
+        x0[idx] = 1
+        left, right = _neighbour_tables(g)
+        lhs = int(_nb_walk_counts(x0, (right, left), 2 * ell)[-1][idx].sum())
+    else:
+        lhs = count_nb_paths_operator(ops, s, 2 * ell)
     rhs = lemma8_rhs(len(s), c, d, ell)
     return Lemma8Report(ell=ell, set_size=len(s), lhs=lhs, rhs=rhs, ok=lhs <= rhs)
 
@@ -730,11 +724,14 @@ class Lemma9Report(Report):
 def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report:
     """M_l(L_G) >= |E| (sqrt((dbar_L - 1)(dbar_R - 1)))^(l-1) for l = 1..ell_max.
 
-    M_l(L_G) is the undirected brute-force count (length 1 gives exactly |E|);
-    the averages are over the whole graph.  Holds for any bipartite multigraph
-    with average degrees at least 1, not just biregular ones.
+    M_l(L_G) counts NB paths once per edge sequence (length 1 gives exactly
+    |E|): half the walk recursion's count from all-ones vectors on both sides,
+    as no path is its own reversal.  The averages are over the whole graph.
+    Holds for any bipartite multigraph with average degrees at least 1.
     """
-    _check_brute_budget(g, ell_max)
+    if ell_max > MAX_OPERATOR_LEN:
+        raise EnumerationBudgetError(
+            f"length {ell_max} exceeds the walk-count cap {MAX_OPERATOR_LEN}")
     m = len(g.edges)
     if g.n_left == 0 or g.n_right == 0 or m == 0:
         raise ValueError("graph must have at least one edge on each side")
@@ -743,12 +740,15 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
     if dbar_l < 1 or dbar_r < 1:
         raise ValueError("average degrees below 1; the lower bound base is undefined")
     base = math.sqrt((dbar_l - 1) * (dbar_r - 1))
-    full = VertexSet.left(range(g.n_left))
+    # base^2 as a fraction, so that ok compares count^2 and bound^2 exactly
+    base_sq = Fraction(m - g.n_left, g.n_left) * Fraction(m - g.n_right, g.n_right)
+    left, right = _neighbour_tables(g)
+    both = [_nb_walk_counts(np.append(np.ones(n, np.int64), 0)[:, None], tables, ell_max)
+            for n, tables in ((g.n_left, (right, left)), (g.n_right, (left, right)))]
     entries = []
     for ell in range(1, ell_max + 1):
-        count = count_nb_paths_undirected(g, full, ell)
-        bound = m * base ** (ell - 1)
-        entries.append(Lemma9Entry(ell=ell, count=count, lower_bound=bound,
-                                   ok=count >= bound - 1e-9))
+        count = sum(int(walks[ell].sum()) for walks in both) // 2
+        entries.append(Lemma9Entry(ell=ell, count=count, lower_bound=m * base ** (ell - 1),
+                                   ok=count * count >= m * m * base_sq ** (ell - 1)))
     return Lemma9Report(avg_left_degree=dbar_l, avg_right_degree=dbar_r,
                         entries=tuple(entries))

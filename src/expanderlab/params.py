@@ -35,6 +35,7 @@ import mpmath as mp
 import numpy as np
 
 from expanderlab import gadget
+from expanderlab.nbwalk import EnumerationBudgetError
 from expanderlab.report import Report
 
 ALL_INTEGERS = "all-integers"
@@ -50,6 +51,9 @@ DEFAULT_PRECISION = 30
 SCREEN_GUARD = 1e-6
 # q values screened per numpy block (bounds the scan's memory)
 MAX_SCAN_BLOCK = 1 << 16
+# qhat gives up where its answer needs a q above this: 30 times the largest
+# published q_hat (136,051 for (100, 100)), and a few seconds of scanning
+QHAT_MAX_Q = 1 << 22
 
 
 def _as_fraction(x) -> Fraction:
@@ -182,12 +186,14 @@ def qhat(
 ) -> ParamReport:
     """Scan the threshold inequality upward in q and locate the crossover.
 
-    No monotonicity is assumed: every failing q is recorded and the scan stops
+    No monotonicity is assumed: every failing q is counted and the scan stops
     only after scan_margin consecutive domain points hold past the last
-    failure.  Conventions: interpretation picks the scan domain (all integers
-    q >= 2, or prime powers only); boundary picks whether q_hat reports the
-    largest failing q ('last-fail') or the first q of the verified all-holds
-    region ('first-hold', the default, which reproduces the published table).
+    failure.  Where that needs a q above QHAT_MAX_Q it raises
+    EnumerationBudgetError.  Conventions: interpretation picks the scan
+    domain (all integers q >= 2, or prime powers only); boundary picks
+    whether q_hat reports the largest failing q ('last-fail') or the first q
+    of the verified all-holds region ('first-hold', the default, which
+    reproduces the published table).
     The comparison is non-strict; strict and non-strict never differ in
     practice (the two sides are transcendental in q).
 
@@ -215,38 +221,45 @@ def qhat(
     escalations = 0
 
     # One scan over all integers q >= 2; it stops at the first q that ends a
-    # run of scan_margin holds, i.e. at last failure + scan_margin.  The
-    # prime-power answers are derived from the full failure record plus an
-    # extended margin check on prime powers.
-    failures: list[int] = []
-    last_fail = 1
+    # run of scan_margin holds, i.e. at last failure + scan_margin.  It keeps
+    # the last failure and the last prime-power failure; the prime-power
+    # answers add an extended margin check on prime powers.
+    failures_found = 0
+    last_fail = last_fail_pp = 1
     lo = 2
-    while lo <= last_fail + scan_margin:
+    while lo <= min(last_fail + scan_margin, QHAT_MAX_Q):
         qs = np.arange(lo, lo + block, dtype=np.int64)
         verdict, escalated = screen(qs)
         escalations += escalated
-        for q in qs[~verdict].tolist():
-            if q > last_fail + scan_margin:
-                break
-            failures.append(q)
-            last_fail = q
+        fails = qs[~verdict]
+        # in q order, the first failure more than scan_margin past the one
+        # before it lies beyond the stopping point
+        far = np.flatnonzero(np.diff(fails, prepend=last_fail) > scan_margin)
+        fails = fails[:far[0]] if far.size else fails
+        if fails.size:
+            failures_found += fails.size
+            last_fail = int(fails[-1])
+            last_fail_pp = next((q for q in map(int, fails[::-1]) if is_prime_power(q)),
+                                last_fail_pp)
         lo += block
+    if last_fail + scan_margin > QHAT_MAX_Q:
+        raise EnumerationBudgetError(f"q_hat needs q above the scan limit {QHAT_MAX_Q}")
 
     convention: dict[str, int] = {}
     convention[f"{ALL_INTEGERS}/{LAST_FAIL}"] = last_fail
     convention[f"{ALL_INTEGERS}/{FIRST_HOLD}"] = last_fail + 1
 
-    is_pp = prime_power_sieve(last_fail + 1)
-    pp_failures = [f for f in failures if is_pp[f]]
-    last_fail_pp = pp_failures[-1] if pp_failures else 1
     # confirm the next scan_margin prime powers past the last prime-power
     # failure all hold (they extend beyond the integer scan's horizon)
     start = last_fail_pp + 1
     span = 2 * block
     while True:
-        pps = start + np.flatnonzero(prime_power_sieve(start + span)[start:])
+        end = min(start + span, QHAT_MAX_Q + 1)
+        pps = start + np.flatnonzero(prime_power_sieve(end)[start:])
         if len(pps) >= scan_margin:
             break
+        if end > QHAT_MAX_Q:
+            raise EnumerationBudgetError(f"q_hat needs q above the scan limit {QHAT_MAX_Q}")
         span *= 2
     pps = pps[:scan_margin]
     for i in range(0, scan_margin, block):
@@ -269,7 +282,7 @@ def qhat(
         scan_margin=scan_margin,
         precision=precision,
         q_hat_by_convention=convention,
-        failures_found=len(failures),
+        failures_found=failures_found,
         # q = 2 .. last_fail + scan_margin, then scan_margin prime powers
         evaluations=last_fail + 2 * scan_margin - 1,
         escalations=escalations,

@@ -46,6 +46,10 @@ def k4() -> RegularGraph:
     return RegularGraph(4, 3, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
 
+def complete_graph(n: int) -> RegularGraph:
+    return RegularGraph(n, n - 1, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
 def petersen() -> RegularGraph:
     return RegularGraph(10, 3, (
         (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),

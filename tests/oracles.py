@@ -5,7 +5,9 @@ the way the library did before its float64 screens; the naive enumerator
 recounts every left subset where the library searches for bad sets; direct
 iteration of a linear recurrence checks its closed-form solution; the scan
 primitives recount N(S), unique neighbours and port sets from the edge list
-and the port lists, the way the library did before its lookup tables.
+and the port lists, the way the library did before its lookup tables; the
+undirected path count enumerates lemma 9's walks depth-first, the way the
+library did before its walk recursion.
 """
 
 import itertools
@@ -62,6 +64,23 @@ def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
         f"{params.PRIME_POWERS}/{params.FIRST_HOLD}": first_hold_pp,
     }
     return convention, len(failures), calls
+
+
+def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int) -> int:
+    """Non-backtracking paths counted once per edge sequence (not per direction),
+    started anywhere, with every left-side vertex of the path in S.
+
+    Half the depth-first count from both starting sides, which is exact
+    because no non-backtracking path is its own reversal.  No enumeration
+    budget applies.
+    """
+    if length == 0:
+        raise ValueError("length-0 paths have no orientation to quotient")
+    sset = set(s.members)
+    count = (sum(nbwalk._nb_walks(g, length, s.members, allowed_left=sset).values())
+             + sum(nbwalk._nb_walks(g, length, range(g.n_right), False, sset).values()))
+    assert count % 2 == 0
+    return count // 2
 
 
 def iterate_recurrence(a, b, x0, x1, n: int) -> complex:

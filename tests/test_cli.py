@@ -1,12 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from expanderlab import cli
 from expanderlab.bigraph import write_graph
-from expanderlab.spectral import write_regular_graph
+from expanderlab.spectral import incidence_graph, write_regular_graph
 
-from graphs import c4, cycle, k21, k32, petersen
+from graphs import c4, complete_graph, cycle, k21, k32, petersen
 
 
 def run_cli(capsys, *argv):
@@ -312,6 +316,12 @@ def test_pipeline_counts_must_be_positive(capsys, files, flag):
     ("--ell-max", ["boundcheck", "--kind", "lemma9", "--ell-max", "0"]),
     ("--samples", ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "2",
                    "--samples", "0"]),
+    ("--seed", ["--seed", "-1", "pipeline", "--big", "c6.bg", "--gadget-params", "2,1,1,2"]),
+    ("--seed", ["gadget", "sample", "--L", "2", "--R", "1", "--c", "1", "--d", "2",
+                "--out", "g.bg", "--seed", "-1"]),
+    ("--margin", ["qhat", "--c0", "35", "--alpha", "2", "--margin", "0"]),
+    ("--ell", ["boundcheck", "--kind", "lemma8", "--set", "0", "--ell", "-1"]),
+    ("--ell", ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "0"]),
 ])
 def test_out_of_range_flag_is_a_flag_error(capsys, files, flag, argv):
     with pytest.raises(SystemExit) as exc:
@@ -406,3 +416,34 @@ def test_budget_exit_code(capsys, files):
         "--mode", "brute",
     )
     assert code == cli.EXIT_BUDGET
+
+
+def test_lemma9_reports_past_the_enumeration_caps(capsys, tmp_path):
+    # K21's incidence graph has 420 edges; lemma 9 counts its walks up to
+    # length 20 and exits 7 only past that
+    path = tmp_path / "k21inc.bg"
+    write_graph(incidence_graph(complete_graph(21)), path)
+    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path))
+    assert code == cli.EXIT_OK
+    assert [e["count"] for e in payload["entries"][:4]] == [420, 4200, 7980, 79800]
+    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path),
+                            "--ell-max", "20")
+    assert code == cli.EXIT_OK and len(payload["entries"]) == 20
+    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path),
+                            "--ell-max", "21")
+    assert code == cli.EXIT_BUDGET
+    assert payload["error"]["type"] == "EnumerationBudgetError"
+
+
+def test_qhat_past_the_scan_limit_exits_7():
+    # q_hat(6, 3/2) lies far past the scan limit; without one this ran for minutes
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "expanderlab.cli", "qhat", "--c0", "6", "--alpha", "3/2",
+         "--margin", "100", "--interpretation", "prime-powers-only", "--boundary", "last-fail"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == cli.EXIT_BUDGET, done.stderr
+    assert json.loads(done.stdout)["error"]["type"] == "EnumerationBudgetError"
+    assert done.stderr.count("\n") == 1

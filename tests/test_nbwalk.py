@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -28,19 +29,21 @@ from expanderlab.nbwalk import (
     solve_linear_recurrence,
     verify_operator_polynomial_identity,
 )
-from expanderlab.spectral import incidence_graph, ramanujan_band
+from expanderlab.spectral import incidence_graph, ramanujan_band, spectrum
 
 from graphs import (
     SMALL_BIREGULAR_PARAMS,
     c4,
     complete_bipartite,
+    complete_graph,
     cycle,
     double_edge,
     k32,
     petersen,
+    random_multigraph,
     single_edge,
 )
-from oracles import iterate_recurrence, lemma6_sweep_mp
+from oracles import count_nb_paths_undirected, iterate_recurrence, lemma6_sweep_mp
 
 
 # -- operators ---------------------------------------------------------------
@@ -262,10 +265,51 @@ def test_operator_matches_bruteforce(pidx, seed, data):
 
 
 def test_matrix_bruteforce_matches_operators():
-    g = sample_biregular(6, 4, 2, 3, seed=13)
+    graphs = [c4(), k32(), double_edge(), incidence_graph(petersen()),
+              sample_biregular(6, 4, 2, 3, seed=13)]
+    graphs += [sample_biregular(L, R, c, d, seed=seed)
+               for L, R, c, d in SMALL_BIREGULAR_PARAMS for seed in range(2)]
+    for g in graphs:
+        ops = build_nb_operators(g, 8)
+        _assert_recursions(g, ops)
+        for length in (0, 2, 4, 6, 8):
+            assert (nb_path_matrix_bruteforce(g, length) == ops.operator("LL", length)).all()
+    # K_{2,41}: 41 * 40^(l/2 - 1) walks from each left vertex at even l
+    g = complete_bipartite(2, 41)
     ops = build_nb_operators(g, 6)
+    _assert_recursions(g, ops)
     for length in (0, 2, 4, 6):
         assert (nb_path_matrix_bruteforce(g, length) == ops.operator("LL", length)).all()
+
+
+def test_walk_counts_match_enumeration_on_random_multigraphs():
+    # parallel edges, isolated vertices and uneven degrees; counts from 1_S
+    # against the depth-first walks from S, lemma 9 against its oracle
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        g = random_multigraph(rng, max_side=4, max_edges=5)
+        members = rng.choice(g.n_left, size=int(rng.integers(1, g.n_left + 1)), replace=False)
+        s = VertexSet.left(members.tolist())
+        left, right = nbwalk._neighbour_tables(g)
+        x0 = np.zeros((g.n_left + 1, 1), np.int64)  # the last row is the zero row
+        x0[list(s.members)] = 1
+        walks = nbwalk._nb_walk_counts(x0, (right, left), 8)
+        for length in range(1, 9):
+            tally = nbwalk._nb_walks(g, length, s.members)
+            assert int(walks[length].sum()) == sum(tally.values())
+            if length % 2 == 0:
+                # an even walk ends on the left, at its last left vertex
+                by_end = Counter()
+                for (_, end), n in tally.items():
+                    by_end[end] += n
+                assert walks[length][:-1, 0].tolist() == [by_end[w] for w in range(g.n_left)]
+        if len(g.edges) < max(g.n_left, g.n_right):
+            with pytest.raises(ValueError):
+                lemma9_lower_check(g)
+            continue
+        full = VertexSet.left(range(g.n_left))
+        assert [e.count for e in lemma9_lower_check(g).entries] == \
+            [count_nb_paths_undirected(g, full, length) for length in range(1, 9)]
 
 
 # -- polynomials ---------------------------------------------------------------
@@ -526,6 +570,34 @@ def test_lemma8_exhaustive_object_dtype_fallback(monkeypatch):
     assert [lemma8_exhaustive_check(g, ell_max=4).to_dict() for g in graphs] == machine
 
 
+def test_lemma8_rejects_ell_below_one():
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match="ell"):
+            lemma8_upper_check(cycle(3), VertexSet.left([0]), ell)
+
+
+def _certify_instance():
+    """perfbench certify's sampled graph at seed 0 and its 20 lemma-8 sets."""
+    g = sample_biregular(200, 150, 3, 4, seed=0)
+    rng = np.random.default_rng(0)
+    sets = [VertexSet.left(sorted(int(u) for u in rng.choice(
+        200, size=int(rng.integers(1, 14)), replace=False))) for _ in range(20)]
+    return g, sets
+
+
+def test_lemma8_same_report_with_and_without_operators(monkeypatch):
+    g, sets = _certify_instance()
+    assert spectrum(g).ramanujan
+    ops = build_nb_operators(g, 6)
+    with_ops = [lemma8_upper_check(g, s, 3, ops=ops, certified=True).to_dict() for s in sets]
+    assert [lemma8_upper_check(g, s, 3, certified=True).to_dict() for s in sets] == with_ops
+    # the count from 1_S in Python integers
+    monkeypatch.setattr(nbwalk, "INT64_LIMIT", 1)
+    again = [lemma8_upper_check(g, s, 3, certified=True) for s in sets]
+    assert [r.to_dict() for r in again] == with_ops
+    assert all(type(r.lhs) is int for r in again)
+
+
 def test_lemma8_requires_certified_input():
     # a disconnected graph cannot be certified at all
     two_c4 = BipartiteMultigraph(
@@ -571,9 +643,37 @@ def test_lemma9_induced_subgraph():
 
 
 def test_lemma9_budget():
+    # 256 edges: past the depth-first enumeration's cap, not the recursion's
     big = sample_biregular(128, 64, 2, 4, seed=0)
+    assert len(lemma9_lower_check(big, ell_max=nbwalk.MAX_OPERATOR_LEN).entries) == 20
     with pytest.raises(EnumerationBudgetError):
-        lemma9_lower_check(big)
+        lemma9_lower_check(big, ell_max=nbwalk.MAX_OPERATOR_LEN + 1)
+
+
+def test_lemma9_equality_is_not_a_violation():
+    # a biregular graph meets the bound with equality at odd l; on K_{2,41}
+    # at l = 7 the float bound lies above the equal count
+    entry = lemma9_lower_check(complete_bipartite(2, 41), ell_max=7).entries[6]
+    assert entry.count == 41 * 2 * 40 ** 3 < entry.lower_bound
+    assert entry.ok
+
+
+def test_lemma9_on_k21_incidence_matches_enumeration():
+    g = incidence_graph(complete_graph(21))
+    full = VertexSet.left(range(g.n_left))
+    counts = [e.count for e in lemma9_lower_check(g, ell_max=4).entries]
+    assert counts == [420, 4200, 7980, 79800]
+    assert counts == [count_nb_paths_undirected(g, full, length) for length in range(1, 5)]
+
+
+def test_lemma9_unchanged_with_the_limit_forced_low(monkeypatch):
+    graphs = [c4(), double_edge(), incidence_graph(petersen()), complete_bipartite(2, 41),
+              incidence_graph(complete_graph(21))]
+    fast = [lemma9_lower_check(g, ell_max=nbwalk.MAX_OPERATOR_LEN).to_dict() for g in graphs]
+    monkeypatch.setattr(nbwalk, "INT64_LIMIT", 1)
+    slow = [lemma9_lower_check(g, ell_max=nbwalk.MAX_OPERATOR_LEN) for g in graphs]
+    assert [r.to_dict() for r in slow] == fast
+    assert all(type(e.count) is int for r in slow for e in r.entries)
 
 
 # -- the theorem-2 inequality chain on a real instance --------------------------
@@ -594,7 +694,7 @@ def test_inequality_chain_on_petersen_incidence():
         for ell in (1, 2):
             if len(s) ** 2 * ((c - 1) * (d - 1)) ** ell > g.n_left ** 2:
                 continue
-            m_undirected = nbwalk.count_nb_paths_undirected(g, s, 2 * ell)
+            m_undirected = count_nb_paths_undirected(g, s, 2 * ell)
             m_directed_inside = count_nb_paths_bruteforce(g, s, 2 * ell, ALL_IN_S)
             m_endpoints = count_nb_paths_operator(ops, s, 2 * ell)
             lower = c * len(s) * ((c - 1) * (dbar_r - 1)) ** ((2 * ell - 1) / 2)

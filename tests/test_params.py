@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from expanderlab import params
@@ -255,3 +256,32 @@ def test_wiring_success_path():
     assert sheet.epsilon_max == Fraction(1, q)
     # with a supplied threshold below q the same call still passes
     assert theorem1_wiring(100, alpha, q, q_hat=1276).q == q
+
+
+def test_qhat_scan_limit_is_exact(monkeypatch):
+    # (35, 2): the integer scan stops at 1491 + 10000; the prime-power
+    # confirmation reads the 10000 prime powers past 1489
+    want = params.qhat(35, 2).to_dict()
+    is_pp = params.prime_power_sieve(200_000)
+    pp_end = int([q for q in range(1490, 200_000) if is_pp[q]][9999])
+    monkeypatch.setattr(params, "QHAT_MAX_Q", pp_end)
+    assert params.qhat(35, 2).to_dict() == want
+    for limit in (pp_end - 1, 1491 + 10_000 - 1):
+        monkeypatch.setattr(params, "QHAT_MAX_Q", limit)
+        with pytest.raises(params.EnumerationBudgetError, match=str(limit)):
+            params.qhat(35, 2)
+
+
+def test_qhat_stopping_rule_on_a_gapped_failure_set(monkeypatch):
+    # the published rows fail on a prefix 2..q_hat-1 only; a synthetic
+    # inequality with isolated failures at 60 and 200 exercises the rule that
+    # ends the scan at the first failure more than the margin past the last
+    fails = set(range(2, 51)) | {60, 200}
+    monkeypatch.setattr(params, "_threshold_test", lambda *_: lambda q: q not in fails)
+    monkeypatch.setattr(params, "_threshold_screen", lambda *_: lambda qs: (
+        np.array([int(q) not in fails for q in qs]), 0))
+    for margin in (5, 9, 10, 20, 139, 140, 1000):
+        report = params.qhat(35, 2, scan_margin=margin)
+        convention, failures_found, _ = qhat_sequential(35, 2, scan_margin=margin)
+        assert report.q_hat_by_convention == convention, margin
+        assert report.failures_found == failures_found, margin

@@ -1,12 +1,14 @@
 """The benchmark harness runs both workloads and ends with a well-formed result.
 
-A traced run with --seconds 0 does the minimum number of jobs, so this checks
-the output format, not the timings: exit code 0, a last stdout line that is
-strict JSON (no bare NaN or Infinity), every verdict correct, every
-per-layer metric that BENCHMARK.json names present with a finite value, and
-the same work counts from every traced job (trace.count_mismatches is 0).
-It also pins the work counts of the seed-0 jobs, so that a speed-up which
-skips work (fewer search nodes, audit trials or lemma checks) fails here.
+A run with --seconds 0 does the minimum number of jobs, so this checks the
+output format, not the timings: exit code 0, a last stdout line that is
+strict JSON (no bare NaN or Infinity) and every verdict correct.  An untraced
+run reports every end-to-end metric that BENCHMARK.json names with a finite
+value and no failed job.  A traced run reports every per-layer metric with a
+finite value and the same work counts from every traced job
+(trace.count_mismatches is 0).  It also pins the work counts of the seed-0
+jobs, so that a speed-up which skips work (fewer search nodes, audit trials
+or lemma checks) fails here.
 """
 
 import json
@@ -32,20 +34,35 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-@pytest.mark.parametrize("workload", ["certify", "construct"])
-def test_traced_run_prints_a_strict_json_result(workload):
+def _run(workload, trace):
+    """The metrics of one --seconds 0 run, after checking its exit and last line."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", trace,
          "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
     result = json.loads(done.stdout.splitlines()[-1], parse_constant=_reject_constant)
     assert result["correct"] is True
-    metrics = result["metrics"]
+    return result["metrics"], done.stdout
+
+
+@pytest.mark.parametrize("workload", ["certify", "construct"])
+def test_untraced_run_reports_every_end_to_end_metric(workload):
+    metrics, _ = _run(workload, "0")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    for entry in spec["end_to_end"]:
+        value = metrics[entry["name"]]["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value), entry["name"]
+    assert metrics["pass_ratio"]["value"] == 1.0
+
+
+@pytest.mark.parametrize("workload", ["certify", "construct"])
+def test_traced_run_prints_a_strict_json_result(workload):
+    metrics, stdout = _run(workload, "1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     for entry in spec["per_layer"]:
         value = metrics[entry["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), entry["name"]
-    assert metrics["trace.count_mismatches"]["value"] == 0, done.stdout
+    assert metrics["trace.count_mismatches"]["value"] == 0, stdout
     assert {name: metrics[name]["value"] for name in WORK_COUNTS[workload]} == WORK_COUNTS[workload]
