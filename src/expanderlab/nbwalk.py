@@ -5,10 +5,11 @@ on side Y and end on side X.  A path of even length ends on its start side and
 one of odd length on the other, so each start side has one nonzero sequence
 (A_l^{LL}, A_l^{RL} alternating from the left; A_l^{RR}, A_l^{LR} from the
 right).  Every walk count comes from one recursion over neighbour tables
-padded to the largest degree, for any degree sequence: a step to a vertex adds
-the rows of its neighbours and takes back the walks that would re-traverse an
-edge.  From the identity it gives the operators, from 1_S lemma 8's count and
-from all-ones vectors lemma 9's.  On biregular graphs the even left operators
+padded to the largest degree (at most MAX_TABLE_PADDING empty cells a side),
+for any degree sequence: a step to a vertex adds the rows of its neighbours
+and takes back the walks that would re-traverse an edge.  From the identity
+it gives the operators, from 1_S lemma 8's count and from all-ones vectors
+lemma 9's.  On biregular graphs the even left operators
 collapse to polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
 and the polynomial values on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
@@ -61,9 +62,12 @@ SCREEN_GUARD = 1e-6
 # int64 arithmetic is exact only for values below this
 INT64_LIMIT = 2 ** 63
 
+# neighbour-table cells with no edge, n * Delta - |E| per side (0 if biregular)
+MAX_TABLE_PADDING = 2 ** 22
+
 
 class EnumerationBudgetError(ValueError):
-    """Brute-force enumeration would exceed the configured budget."""
+    """An enumeration, walk length, neighbour table or scan would exceed its fixed budget."""
 
 
 def _exact_dtype(bound: int):
@@ -80,7 +84,7 @@ class NbOperatorSet:
     walks end, columns on side Y where they start.  Only the nonzero parity
     sequence of each start side is stored; operator() returns a fresh zero
     matrix for the other kinds (odd-length LL/RR, even-length LR/RL).  Entries
-    are exact: int64 when build_nb_operators' overflow bound allows it, Python
+    are exact: int64 when _nb_walk_counts' overflow bound allows it, Python
     integers (object dtype) otherwise.
     """
 
@@ -108,15 +112,19 @@ class NbOperatorSet:
 def _neighbour_tables(g: BipartiteMultigraph) -> tuple:
     """(left, right): per side, deg[u] the degree of u and row u of table its
     neighbours with multiplicity, padded with the other side's size (the index
-    of a walk count's zero row); a last row holds only that index."""
+    of a walk count's zero row); a last row holds only that index.  Raises
+    EnumerationBudgetError when a side's padding exceeds MAX_TABLE_PADDING."""
     edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
     tables = []
     for side, (n, n_other) in enumerate(((g.n_left, g.n_right), (g.n_right, g.n_left))):
         heads, tails = edges[:, side], edges[:, 1 - side]
         order = np.argsort(heads, kind="stable")
         deg = np.bincount(heads, minlength=n)
+        width = max(int(deg.max(initial=0)), 1)
+        if n * width - len(heads) > MAX_TABLE_PADDING:
+            raise EnumerationBudgetError(f"neighbour table padding exceeds {MAX_TABLE_PADDING}")
         slot = np.arange(len(heads)) - (np.cumsum(deg) - deg)[heads[order]]
-        table = np.full((n + 1, max(deg.max(initial=0), 1)), n_other, dtype=np.intp)
+        table = np.full((n + 1, width), n_other, dtype=np.intp)
         table[heads[order], slot] = tails[order]
         tables.append((table, deg))
     return tuple(tables)
@@ -153,9 +161,7 @@ def _nb_walk_counts(x0: np.ndarray, tables, max_len: int) -> list:
             nxt += walks[l][nbrs[:, j]]
         if l > 0:
             k = deg if l == 1 else deg - 1
-            # one number where every degree is equal: it multiplies faster than a column
-            k = int(k[0]) if (k == k[0]).all() else k.astype(dtype)[:, None]
-            nxt[:-1] -= k * walks[l - 1][:-1]
+            nxt[:-1] -= k.astype(dtype)[:, None] * walks[l - 1][:-1]
         walks.append(nxt)
     return walks
 
@@ -344,14 +350,11 @@ def verify_operator_polynomial_identity(g: BipartiteMultigraph, n: int) -> PolyI
     X = B @ B.T
     P = p_polynomial(c, d, n).eval_matrix(X)
     A = ops.operator("LL", 2 * n)
-    worst = Fraction(0)
-    worst_entry = None
-    for i in range(g.n_left):
-        for j in range(g.n_left):
-            resid = abs(Fraction(P[i, j]) - A[i, j])
-            if resid > worst:
-                worst = resid
-                worst_entry = (i, j)
+    worst, worst_entry = Fraction(0), None
+    for (i, j), a in np.ndenumerate(A):
+        resid = abs(Fraction(P[i, j]) - a)
+        if resid > worst:
+            worst, worst_entry = resid, (i, j)
     return PolyIdentityReport(n=n, ok=worst == 0, max_residual=worst, worst_entry=worst_entry)
 
 
@@ -677,9 +680,7 @@ def lemma8_exhaustive_check(
     if not spectral.spectrum(g, tolerance).ramanujan:
         raise ValueError("graph is not certified bipartite Ramanujan")
     ops = build_nb_operators(g, 2 * ell_max)
-    checked = 0
-    violations = 0
-    max_ratio = 0.0
+    checked, violations, max_ratio = 0, 0, 0.0
     for ell in range(1, ell_max + 1):
         size_cap = min(g.n_left, _condition9_max_size(g.n_left, c, d, ell))
         # a set's sum is below |S| Delta^(2l), as in count_nb_paths_operator
@@ -687,12 +688,9 @@ def lemma8_exhaustive_check(
         for size in range(1, size_cap + 1):
             rhs_unit = lemma8_rhs(size, c, d, ell)
             for comb in itertools.combinations(range(g.n_left), size):
-                idx = list(comb)
-                lhs = int(A[np.ix_(idx, idx)].sum())
+                lhs = int(A[np.ix_(comb, comb)].sum())
                 checked += 1
-                ratio = lhs / rhs_unit
-                if ratio > max_ratio:
-                    max_ratio = ratio
+                max_ratio = max(max_ratio, lhs / rhs_unit)
                 if lhs > rhs_unit:
                     violations += 1
     return Lemma8ExhaustiveReport(
@@ -702,6 +700,9 @@ def lemma8_exhaustive_check(
 
 @dataclass(frozen=True)
 class Lemma9Entry(Report):
+    """ok compares count^2 with m^2 ((dbar_L - 1)(dbar_R - 1))^(ell-1) exactly;
+    lower_bound is its float approximation and may exceed an equal count."""
+
     ell: int
     count: int
     lower_bound: float
@@ -727,7 +728,8 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
     M_l(L_G) counts NB paths once per edge sequence (length 1 gives exactly
     |E|): half the walk recursion's count from all-ones vectors on both sides,
     as no path is its own reversal.  The averages are over the whole graph.
-    Holds for any bipartite multigraph with average degrees at least 1.
+    Holds for any bipartite multigraph with average degrees at least 1; past
+    MAX_OPERATOR_LEN or MAX_TABLE_PADDING it raises EnumerationBudgetError.
     """
     if ell_max > MAX_OPERATOR_LEN:
         raise EnumerationBudgetError(
@@ -735,12 +737,10 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
     m = len(g.edges)
     if g.n_left == 0 or g.n_right == 0 or m == 0:
         raise ValueError("graph must have at least one edge on each side")
-    dbar_l = m / g.n_left
-    dbar_r = m / g.n_right
+    dbar_l, dbar_r = m / g.n_left, m / g.n_right
     if dbar_l < 1 or dbar_r < 1:
         raise ValueError("average degrees below 1; the lower bound base is undefined")
     base = math.sqrt((dbar_l - 1) * (dbar_r - 1))
-    # base^2 as a fraction, so that ok compares count^2 and bound^2 exactly
     base_sq = Fraction(m - g.n_left, g.n_left) * Fraction(m - g.n_right, g.n_right)
     left, right = _neighbour_tables(g)
     both = [_nb_walk_counts(np.append(np.ones(n, np.int64), 0)[:, None], tables, ell_max)

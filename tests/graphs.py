@@ -38,6 +38,13 @@ def single_edge() -> BipartiteMultigraph:
     return BipartiteMultigraph(1, 1, ((0, 0),))
 
 
+def hub(n: int) -> BipartiteMultigraph:
+    """Left vertex 0 joined to all n right vertices, left vertex i to right i-1:
+    2n edges, but n^2 - n empty cells in a left table padded to degree n."""
+    edges = [(0, v) for v in range(n)] + [(i, i - 1) for i in range(1, n + 1)]
+    return BipartiteMultigraph(n + 1, n, tuple(edges))
+
+
 def triangle() -> RegularGraph:
     return RegularGraph(3, 2, ((0, 1), (1, 2), (2, 0)))
 

@@ -10,7 +10,7 @@ from expanderlab import cli
 from expanderlab.bigraph import write_graph
 from expanderlab.spectral import incidence_graph, write_regular_graph
 
-from graphs import c4, complete_graph, cycle, k21, k32, petersen
+from graphs import c4, complete_graph, cycle, hub, k21, k32, petersen
 
 
 def run_cli(capsys, *argv):
@@ -431,6 +431,11 @@ def test_lemma9_reports_past_the_enumeration_caps(capsys, tmp_path):
     assert code == cli.EXIT_OK and len(payload["entries"]) == 20
     code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path),
                             "--ell-max", "21")
+    assert code == cli.EXIT_BUDGET
+    assert payload["error"]["type"] == "EnumerationBudgetError"
+    # 6,000 edges, but padded to the hub's degree the left table has 9e6 empty cells
+    write_graph(hub(3000), path)
+    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path))
     assert code == cli.EXIT_BUDGET
     assert payload["error"]["type"] == "EnumerationBudgetError"
 

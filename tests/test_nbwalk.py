@@ -38,6 +38,7 @@ from graphs import (
     complete_graph,
     cycle,
     double_edge,
+    hub,
     k32,
     petersen,
     random_multigraph,
@@ -648,6 +649,20 @@ def test_lemma9_budget():
     assert len(lemma9_lower_check(big, ell_max=nbwalk.MAX_OPERATOR_LEN).entries) == 20
     with pytest.raises(EnumerationBudgetError):
         lemma9_lower_check(big, ell_max=nbwalk.MAX_OPERATOR_LEN + 1)
+
+
+def test_lemma9_table_padding_cap(monkeypatch):
+    # 100,000 edges whose padded left table would hold 2.5e9 cells
+    with pytest.raises(EnumerationBudgetError):
+        lemma9_lower_check(hub(50_000))
+    g = hub(30)
+    full = VertexSet.left(range(g.n_left))
+    monkeypatch.setattr(nbwalk, "MAX_TABLE_PADDING", 30 * 29)
+    assert [e.count for e in lemma9_lower_check(g, ell_max=6).entries] == \
+        [count_nb_paths_undirected(g, full, length) for length in range(1, 7)]
+    monkeypatch.setattr(nbwalk, "MAX_TABLE_PADDING", 30 * 29 - 1)
+    with pytest.raises(EnumerationBudgetError):
+        lemma9_lower_check(g, ell_max=6)
 
 
 def test_lemma9_equality_is_not_a_violation():
