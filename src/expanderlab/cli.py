@@ -9,9 +9,10 @@ codes:
   3  I/O error (missing or unreadable file)
   4  graph file parse error
   5  domain precondition violated
-  6  verification failed (witness found, bound violated, equality mismatch)
-  7  budget exceeded: path enumeration, walk length, the gadget search's
-     nodes or the qhat scan's q limit
+  6  verification failed (witness found or bound violated)
+  7  budget exceeded: a walk length above 20 (nbops --max-len, nbcount
+     --len, boundcheck lemma8 2*--ell, lemma9 --ell-max), neighbour-table
+     padding, the gadget search's nodes or the qhat scan's q limit
 
 Pipeline stage failures use distinct codes: 10 spectral certification,
 11 gadget verification, 12 product construction, 13 unique-neighbour audit.
@@ -22,9 +23,14 @@ parsing, so a value outside the range exits 2 with nothing on stdout:
 pipeline --k, --retries, --audit-trials, qhat --margin and boundcheck
 --samples, --ell, --ell-max take integers >= 1; --seed, --budget, gadget
 verify --k, nbops --max-len and nbcount --len integers >= 0; --precision an
-integer >= 15; and --tolerance a finite number > 0.  UNE_PRECISION, read by
-qhat and boundcheck --kind lemma6 when --precision is not given, must be an
-integer >= 15 as well.
+integer >= 15; --tolerance a finite number > 0; constants and bounds --eps a
+finite number >= 0; and boundcheck, constants and bounds --c and --d
+integers with 2 <= c < d.  UNE_PRECISION, read by qhat and boundcheck --kind
+lemma6 when --precision is not given, must be an integer >= 15 as well.
+
+nbcount counts the non-backtracking paths of --len from the left set --set
+whose last left vertex (--mode endpoints-in-S, the default) or every left
+vertex (--mode all-in-S) lies in the set, and prints {set, len, mode, count}.
 """
 
 from __future__ import annotations
@@ -91,14 +97,22 @@ def _int_at_least(low: int):
 _parse_precision = _int_at_least(PRECISION_FLOOR)
 
 
-def _parse_tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return value
+def _finite_at_least(low: float, strict: bool = False):
+    """Flag type for a finite number > low (strict) or >= low."""
+    bound = f"{'>' if strict else '>='} {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+        return value
+    return parse
+
+
+_parse_tolerance = _finite_at_least(0, strict=True)
 
 
 def cmd_spectrum(args) -> int:
@@ -140,20 +154,10 @@ def cmd_nbops(args) -> int:
 def cmd_nbcount(args) -> int:
     g = bigraph.read_graph(args.infile)
     s = _parse_vertex_set(args.set)
-    payload: dict = {"set": list(s.members), "len": args.length, "mode": args.mode}
-    if args.mode in ("operator", "both"):
-        ops = nbwalk.build_nb_operators(g, args.length)
-        payload["operator_count"] = nbwalk.count_nb_paths_operator(ops, s, args.length)
-    if args.mode in ("brute", "both"):
-        payload["brute_count"] = nbwalk.count_nb_paths_bruteforce(
-            g, s, args.length, mode=args.brute_mode
-        )
-    code = EXIT_OK
-    if args.mode == "both" and payload["operator_count"] != payload["brute_count"]:
-        payload["mismatch"] = True
-        code = EXIT_VERIFICATION
-    _emit(payload, f"count={payload.get('operator_count', payload.get('brute_count'))}")
-    return code
+    count = nbwalk.count_nb_paths(g, s, args.length, mode=args.mode)
+    _emit({"set": list(s.members), "len": args.length, "mode": args.mode, "count": count},
+          f"count={count}")
+    return EXIT_OK
 
 
 def cmd_poly(args) -> int:
@@ -408,9 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--set", required=True, help="comma-separated left vertices")
     p.add_argument("--len", dest="length", type=_int_at_least(0), required=True)
-    p.add_argument("--mode", choices=["operator", "brute", "both"], default="both")
-    p.add_argument("--brute-mode", dest="brute_mode",
-                   choices=[nbwalk.ENDPOINTS_IN_S, nbwalk.ALL_IN_S],
+    p.add_argument("--mode", choices=[nbwalk.ENDPOINTS_IN_S, nbwalk.ALL_IN_S],
                    default=nbwalk.ENDPOINTS_IN_S)
     p.set_defaults(func=cmd_nbcount)
 
@@ -470,13 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="walk length and delta for given (c, d, eps)")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_at_least(0), required=True)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="walk-based vs expander-mixing average degree bounds")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_at_least(0), required=True)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("pipeline", help="certify -> verify gadget -> product -> audit")
@@ -511,6 +513,9 @@ def main(argv=None) -> int:
             parser.error(f"UNE_PRECISION: {exc}")
     if args.command == "pipeline" and not (args.gadget or args.gadget_params):
         parser.error("pipeline needs --gadget or --gadget-params")
+    if args.command in ("boundcheck", "constants", "bounds") and None not in (args.c, args.d) \
+            and not 2 <= args.c < args.d:
+        parser.error(f"--c and --d need 2 <= c < d, got c={args.c}, d={args.d}")
     try:
         return args.func(args)
     except bigraph.GraphFormatError as exc:

@@ -8,9 +8,10 @@ right).  Every walk count comes from one recursion over neighbour tables
 padded to the largest degree (at most MAX_TABLE_PADDING empty cells a side),
 for any degree sequence: a step to a vertex adds the rows of its neighbours
 and takes back the walks that would re-traverse an edge.  From the identity
-it gives the operators, from 1_S lemma 8's count and from all-ones vectors
-lemma 9's.  On biregular graphs the even left operators
-collapse to polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
+it gives the operators, from 1_S one set's path count (count_nb_paths, for
+nbcount and lemma 8) and from all-ones vectors lemma 9's; it stops at
+MAX_OPERATOR_LEN.  On biregular graphs the even left operators collapse to
+polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
 and the polynomial values on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
 for l past a computable threshold.  Path counts are exact integers: int64
@@ -33,7 +34,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +45,6 @@ from expanderlab import spectral
 from expanderlab.report import Report
 
 MAX_OPERATOR_LEN = 20
-BRUTE_MAX_LEN = 8
-BRUTE_MAX_EDGES = 200
 
 ENDPOINTS_IN_S = "endpoints-in-S"
 ALL_IN_S = "all-in-S"
@@ -130,6 +128,12 @@ def _neighbour_tables(g: BipartiteMultigraph) -> tuple:
     return tuple(tables)
 
 
+def _backtracks(deg: np.ndarray, l: int) -> np.ndarray:
+    """k_l: the edges by which a walk of length l - 1 leaves its end vertex
+    without backtracking, deg at l = 1 (no last edge yet) and deg - 1 after."""
+    return deg if l == 1 else deg - 1
+
+
 def _nb_walk_counts(x0: np.ndarray, tables, max_len: int) -> list:
     """X_0 = x0 .. X_max_len: X_l[w, j] sums x0[v, j] over the NB walks of
     length l from v to w.  x0 holds nonnegative integer weights on the start
@@ -148,8 +152,11 @@ def _nb_walk_counts(x0: np.ndarray, tables, max_len: int) -> list:
     such nonnegative entries: int64 when W Delta^max(max_len, 1) is below
     INT64_LIMIT, Python integers (object) otherwise.
     """
-    if not 0 <= max_len <= MAX_OPERATOR_LEN:
-        raise ValueError(f"max_len must be in [0, {MAX_OPERATOR_LEN}]")
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    if max_len > MAX_OPERATOR_LEN:
+        raise EnumerationBudgetError(
+            f"max_len {max_len} exceeds the walk-length cap {MAX_OPERATOR_LEN}")
     delta = int(max(tables[0][1].max(initial=0), tables[1][1].max(initial=0)))
     weight = int(x0.sum(axis=0).max(initial=0))
     dtype = _exact_dtype(weight * delta ** max(max_len, 1))
@@ -160,8 +167,7 @@ def _nb_walk_counts(x0: np.ndarray, tables, max_len: int) -> list:
         for j in range(1, nbrs.shape[1]):
             nxt += walks[l][nbrs[:, j]]
         if l > 0:
-            k = deg if l == 1 else deg - 1
-            nxt[:-1] -= k.astype(dtype)[:, None] * walks[l - 1][:-1]
+            nxt[:-1] -= _backtracks(deg, l).astype(dtype)[:, None] * walks[l - 1][:-1]
         walks.append(nxt)
     return walks
 
@@ -200,80 +206,37 @@ def count_nb_paths_operator(ops: NbOperatorSet, s: VertexSet, length: int) -> in
     return int(ops.operator("LL", length)[np.ix_(idx, idx)].astype(dtype).sum())
 
 
-def _check_brute_budget(g: BipartiteMultigraph, length: int):
-    if length > BRUTE_MAX_LEN:
-        raise EnumerationBudgetError(f"length {length} exceeds brute-force cap {BRUTE_MAX_LEN}")
-    if len(g.edges) > BRUTE_MAX_EDGES:
-        raise EnumerationBudgetError(
-            f"{len(g.edges)} edges exceed brute-force cap {BRUTE_MAX_EDGES}"
-        )
-
-
-def _nb_walks(
-    g: BipartiteMultigraph, length: int, starts, from_left: bool = True, allowed_left=None
-) -> Counter:
-    """Tally every non-backtracking walk of `length` steps by (start, last left vertex).
-
-    Depth-first enumeration of edge sequences from each start (on the left
-    side when from_left, else the right): consecutive edges share their middle
-    vertex, and no edge is traversed twice in a row.  A step into a left vertex
-    outside allowed_left (None: any) is not taken.  A walk that never reaches
-    the left side tallies -1 as its last left vertex.  It cross-checks the walk
-    recursion, so it shares no code with _nb_walk_counts.
-    """
-    left_adj, right_adj = [[] for _ in range(g.n_left)], [[] for _ in range(g.n_right)]
-    for eid, (u, v) in enumerate(g.edges):
-        left_adj[u].append((eid, v))
-        right_adj[v].append((eid, u))
-    tally: Counter = Counter()
-
-    def dfs(on_left: bool, vertex: int, last_eid: int, depth: int, start: int, last_left: int):
-        if depth == length:
-            tally[start, last_left] += 1
-            return
-        if on_left:
-            for eid, v in left_adj[vertex]:
-                if eid != last_eid:
-                    dfs(False, v, eid, depth + 1, start, last_left)
-        else:
-            for eid, u in right_adj[vertex]:
-                if eid != last_eid and (allowed_left is None or u in allowed_left):
-                    dfs(True, u, eid, depth + 1, start, u)
-
-    for start in starts:
-        dfs(from_left, start, -1, 0, start, start if from_left else -1)
-    return tally
-
-
-def count_nb_paths_bruteforce(
+def count_nb_paths(
     g: BipartiteMultigraph, s: VertexSet, length: int, mode: str = ENDPOINTS_IN_S
 ) -> int:
-    """Count non-backtracking paths by depth-first enumeration of edge sequences.
+    """The NB paths of `length` that start at a left vertex in S, as an exact
+    integer: the walk recursion from 1_S, on any degree sequence.
 
-    Paths start at a left vertex in S.  Mode 'all-in-S' requires every
-    left-side vertex of the path to lie in S; 'endpoints-in-S' only the first
-    and last.  This is the independent oracle for the operator counts.
+    Mode 'all-in-S' requires every left vertex of the path to lie in S: the
+    walk runs on the edges whose left end is in S and counts every end.  Mode
+    'endpoints-in-S' requires the first and the last left vertex to: an even
+    path ends at its last left vertex, so the count sums the rows of S; an odd
+    one has left it by one more step, so each path of length - 1 ending in S
+    counts once per edge it can leave by (_backtracks, the recursion's own
+    k).  Past MAX_OPERATOR_LEN it raises EnumerationBudgetError.
     """
     if mode not in (ENDPOINTS_IN_S, ALL_IN_S):
         raise ValueError(f"unknown mode {mode!r}")
     _require_left(s, g)
-    _check_brute_budget(g, length)
-    sset = set(s.members)
+    idx = list(s.members)
     if mode == ALL_IN_S:
-        return sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
-    walks = _nb_walks(g, length, s.members)
-    return sum(n for (_, last_left), n in walks.items() if last_left in sset)
-
-
-def nb_path_matrix_bruteforce(g: BipartiteMultigraph, length: int) -> np.ndarray:
-    """Left-to-left path counts N[end, start] by pure enumeration (even length)."""
-    if length % 2 != 0:
-        raise ValueError("left-to-left counts need an even length")
-    _check_brute_budget(g, length)
-    N = np.zeros((g.n_left, g.n_left), dtype=object)
-    for (start, end), n in _nb_walks(g, length, range(g.n_left)).items():
-        N[end, start] = n
-    return N
+        inside = set(idx)
+        g = BipartiteMultigraph(g.n_left, g.n_right, tuple(e for e in g.edges if e[0] in inside))
+    x0 = np.zeros((g.n_left + 1, 1), dtype=np.int64)
+    x0[idx] = 1
+    left, right = _neighbour_tables(g)
+    walks = _nb_walk_counts(x0, (right, left), length)
+    if mode == ALL_IN_S:
+        return int(walks[-1].sum())
+    if length % 2 == 0:
+        return int(walks[-1][idx].sum())
+    k = _backtracks(left[1], length)
+    return sum(int(x) * int(k[w]) for w, x in zip(idx, walks[-2][idx, 0]))
 
 
 # -- the polynomials p_n with A_{2n}^{LL} = p_n(B B^T) ----------------------
@@ -653,11 +616,7 @@ def lemma8_upper_check(
     if len(s) > _condition9_max_size(g.n_left, c, d, ell):
         raise ValueError("set too large: smallness condition |S|((c-1)(d-1))^(l/2) <= n fails")
     if ops is None:
-        idx = _left_indices(s, g.n_left)
-        x0 = np.zeros((g.n_left + 1, 1), dtype=np.int64)
-        x0[idx] = 1
-        left, right = _neighbour_tables(g)
-        lhs = int(_nb_walk_counts(x0, (right, left), 2 * ell)[-1][idx].sum())
+        lhs = count_nb_paths(g, s, 2 * ell)
     else:
         lhs = count_nb_paths_operator(ops, s, 2 * ell)
     rhs = lemma8_rhs(len(s), c, d, ell)
@@ -731,9 +690,6 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
     Holds for any bipartite multigraph with average degrees at least 1; past
     MAX_OPERATOR_LEN or MAX_TABLE_PADDING it raises EnumerationBudgetError.
     """
-    if ell_max > MAX_OPERATOR_LEN:
-        raise EnumerationBudgetError(
-            f"length {ell_max} exceeds the walk-count cap {MAX_OPERATOR_LEN}")
     m = len(g.edges)
     if g.n_left == 0 or g.n_right == 0 or m == 0:
         raise ValueError("graph must have at least one edge on each side")

@@ -174,15 +174,6 @@ def incidence_spectrum_identity_check(g: RegularGraph) -> IncidenceIdentityRepor
     )
 
 
-def kahale_bound(d: int, eps: float) -> float:
-    """Average-degree bound 1 + (1+eps) * sqrt(d-1) for small sets in d-regular Ramanujan graphs."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    return 1.0 + (1.0 + eps) * math.sqrt(d - 1)
-
-
 # -- GRAPH v1 file format (regular graphs) ----------------------------------
 #
 # Line 1: "GRAPH v1"; line 2: "n=<int> d=<int>"; then one "u v" line per edge.

@@ -6,8 +6,9 @@ recounts every left subset where the library searches for bad sets; direct
 iteration of a linear recurrence checks its closed-form solution; the scan
 primitives recount N(S), unique neighbours and port sets from the edge list
 and the port lists, the way the library did before its lookup tables; the
-undirected path count enumerates lemma 9's walks depth-first, the way the
-library did before its walk recursion.
+depth-first walker enumerates non-backtracking walks edge by edge, the way the
+library counted them before its walk recursion, for one set's path count, the
+left-to-left path matrix and lemma 9's undirected count.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import math
 from collections import Counter
 
 import mpmath as mp
+import numpy as np
 
 from expanderlab import nbwalk, params, product
 from expanderlab.bigraph import BipartiteMultigraph, VertexSet
@@ -66,6 +68,64 @@ def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
     return convention, len(failures), calls
 
 
+def _nb_walks(
+    g: BipartiteMultigraph, length: int, starts, from_left: bool = True, allowed_left=None
+) -> Counter:
+    """Tally every non-backtracking walk of `length` steps by (start, last left vertex).
+
+    Depth-first enumeration of edge sequences from each start (on the left
+    side when from_left, else the right): consecutive edges share their middle
+    vertex, and no edge is traversed twice in a row.  A step into a left vertex
+    outside allowed_left (None: any) is not taken.  A walk that never reaches
+    the left side tallies -1 as its last left vertex.  It shares no code with
+    the library's walk recursion.  No enumeration budget applies.
+    """
+    left_adj, right_adj = [[] for _ in range(g.n_left)], [[] for _ in range(g.n_right)]
+    for eid, (u, v) in enumerate(g.edges):
+        left_adj[u].append((eid, v))
+        right_adj[v].append((eid, u))
+    tally: Counter = Counter()
+
+    def dfs(on_left: bool, vertex: int, last_eid: int, depth: int, start: int, last_left: int):
+        if depth == length:
+            tally[start, last_left] += 1
+            return
+        if on_left:
+            for eid, v in left_adj[vertex]:
+                if eid != last_eid:
+                    dfs(False, v, eid, depth + 1, start, last_left)
+        else:
+            for eid, u in right_adj[vertex]:
+                if eid != last_eid and (allowed_left is None or u in allowed_left):
+                    dfs(True, u, eid, depth + 1, start, u)
+
+    for start in starts:
+        dfs(from_left, start, -1, 0, start, start if from_left else -1)
+    return tally
+
+
+def count_nb_paths_bruteforce(g: BipartiteMultigraph, s: VertexSet, length: int,
+                              mode: str = nbwalk.ENDPOINTS_IN_S) -> int:
+    """nbwalk.count_nb_paths by depth-first enumeration: paths from a left
+    vertex in S whose every left vertex ('all-in-S') or whose last left vertex
+    ('endpoints-in-S') lies in S."""
+    sset = set(s.members)
+    if mode == nbwalk.ALL_IN_S:
+        return sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
+    walks = _nb_walks(g, length, s.members)
+    return sum(n for (_, last_left), n in walks.items() if last_left in sset)
+
+
+def nb_path_matrix_bruteforce(g: BipartiteMultigraph, length: int):
+    """Left-to-left path counts N[end, start] by enumeration (even length)."""
+    if length % 2 != 0:
+        raise ValueError("left-to-left counts need an even length")
+    N = np.zeros((g.n_left, g.n_left), dtype=object)
+    for (start, end), n in _nb_walks(g, length, range(g.n_left)).items():
+        N[end, start] = n
+    return N
+
+
 def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int) -> int:
     """Non-backtracking paths counted once per edge sequence (not per direction),
     started anywhere, with every left-side vertex of the path in S.
@@ -77,8 +137,8 @@ def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int)
     if length == 0:
         raise ValueError("length-0 paths have no orientation to quotient")
     sset = set(s.members)
-    count = (sum(nbwalk._nb_walks(g, length, s.members, allowed_left=sset).values())
-             + sum(nbwalk._nb_walks(g, length, range(g.n_right), False, sset).values()))
+    count = (sum(_nb_walks(g, length, s.members, allowed_left=sset).values())
+             + sum(_nb_walks(g, length, range(g.n_right), False, sset).values()))
     assert count % 2 == 0
     return count // 2
 

@@ -21,7 +21,6 @@ from expanderlab.nbwalk import (
     lemma6_sweep,
     lemma8_exhaustive_check,
     lemma9_lower_check,
-    nb_path_matrix_bruteforce,
     verify_operator_polynomial_identity,
 )
 from expanderlab.spectral import (
@@ -41,7 +40,7 @@ from graphs import (
     petersen,
     triangle,
 )
-from oracles import _verify_naive
+from oracles import _verify_naive, nb_path_matrix_bruteforce
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> bool:

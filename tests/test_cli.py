@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from expanderlab import cli
-from expanderlab.bigraph import write_graph
+from expanderlab.bigraph import VertexSet, write_graph
 from expanderlab.spectral import incidence_graph, write_regular_graph
 
 from graphs import c4, complete_graph, cycle, hub, k21, k32, petersen
+from oracles import count_nb_paths_bruteforce
 
 
 def run_cli(capsys, *argv):
@@ -83,7 +84,31 @@ def test_nbcount_command_match(capsys, files):
         capsys, "nbcount", "--in", files["c4"], "--set", "0,1", "--len", "2"
     )
     assert code == 0
-    assert payload["operator_count"] == payload["brute_count"] == 4
+    assert payload == {"set": [0, 1], "len": 2, "mode": "endpoints-in-S", "count": 4}
+
+
+def test_nbcount_all_in_s_on_the_8_cycle(capsys, tmp_path):
+    # two NB paths of length 4 stay on left vertices 0, 1, 2: 0-1-2 and 2-1-0
+    path = tmp_path / "c8.bg"
+    write_graph(cycle(4), path)
+    code, payload = run_cli(capsys, "nbcount", "--in", str(path), "--set", "0,1,2",
+                            "--len", "4", "--mode", "all-in-S")
+    assert code == cli.EXIT_OK
+    assert payload == {"set": [0, 1, 2], "len": 4, "mode": "all-in-S", "count": 2}
+
+
+@pytest.mark.parametrize("mode", ["endpoints-in-S", "all-in-S"])
+def test_nbcount_past_200_edges_equals_the_oracle(capsys, tmp_path, mode):
+    g = incidence_graph(complete_graph(21))
+    assert len(g.edges) == 420
+    path = tmp_path / "k21inc.bg"
+    write_graph(g, path)
+    s = VertexSet.left([0, 1, 2, 19, 20, 40])
+    for length in (4, 5):
+        code, payload = run_cli(capsys, "nbcount", "--in", str(path), "--set", "0,1,2,19,20,40",
+                                "--len", str(length), "--mode", mode)
+        assert code == cli.EXIT_OK
+        assert payload["count"] == count_nb_paths_bruteforce(g, s, length, mode) > 0
 
 
 def test_poly_command(capsys):
@@ -322,14 +347,20 @@ def test_pipeline_counts_must_be_positive(capsys, files, flag):
     ("--margin", ["qhat", "--c0", "35", "--alpha", "2", "--margin", "0"]),
     ("--ell", ["boundcheck", "--kind", "lemma8", "--set", "0", "--ell", "-1"]),
     ("--ell", ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "0"]),
+    *(("--c", ["boundcheck", "--kind", "lemma6", "--c", c, "--d", d, "--ell", "2",
+               "--samples", "5"]) for c, d in (("1", "5"), ("5", "3"), ("4", "4"))),
+    *(("--c", [command, "--c", "5", "--d", "3", "--eps", "0"]) for command in ("bounds", "constants")),
+    *(("--eps", [command, "--c", "2", "--d", "3", "--eps", value])
+      for command in ("bounds", "constants") for value in ("nan", "inf", "-0.5", "x")),
 ])
-def test_out_of_range_flag_is_a_flag_error(capsys, files, flag, argv):
+def test_out_of_range_flag_is_a_flag_error(capsys, flag, argv):
+    # each value is refused before any file is read: the error line names the flag
     with pytest.raises(SystemExit) as exc:
-        cli.main([*argv, "--in", files["k32"]])
+        cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert flag in captured.err
+    assert flag in captured.err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,11 +442,23 @@ def test_pipeline_requires_gadget_source(capsys, files):
 
 
 def test_budget_exit_code(capsys, files):
-    code, payload = run_cli(
-        capsys, "nbcount", "--in", files["c4"], "--set", "0", "--len", "10",
-        "--mode", "brute",
-    )
+    code, payload = run_cli(capsys, "nbcount", "--in", files["c4"], "--set", "0", "--len", "21")
     assert code == cli.EXIT_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["nbops", "--max-len", "21"],
+    ["nbcount", "--set", "0", "--len", "21"],
+    ["nbcount", "--set", "0", "--len", "21", "--mode", "all-in-S"],
+    ["boundcheck", "--kind", "lemma8", "--set", "0", "--ell", "11"],
+    ["boundcheck", "--kind", "lemma9", "--ell-max", "21"],
+])
+def test_walk_length_cap_exits_7(capsys, files, argv):
+    # C6 is certified and (c-1)(d-1) = 1, so lemma 8 at ell = 11 passes its
+    # smallness condition and asks for walks of length 22
+    code, payload = run_cli(capsys, *argv, "--in", files["c6"])
+    assert code == cli.EXIT_BUDGET
+    assert payload["error"]["type"] == "EnumerationBudgetError"
 
 
 def test_lemma9_reports_past_the_enumeration_caps(capsys, tmp_path):

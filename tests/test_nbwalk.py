@@ -16,7 +16,7 @@ from expanderlab.nbwalk import (
     build_nb_operators,
     char_delta,
     char_roots,
-    count_nb_paths_bruteforce,
+    count_nb_paths,
     count_nb_paths_operator,
     ell_min,
     lemma6_bound_check,
@@ -24,7 +24,6 @@ from expanderlab.nbwalk import (
     lemma8_exhaustive_check,
     lemma8_upper_check,
     lemma9_lower_check,
-    nb_path_matrix_bruteforce,
     p_polynomial,
     solve_linear_recurrence,
     verify_operator_polynomial_identity,
@@ -44,7 +43,14 @@ from graphs import (
     random_multigraph,
     single_edge,
 )
-from oracles import count_nb_paths_undirected, iterate_recurrence, lemma6_sweep_mp
+from oracles import (
+    _nb_walks,
+    count_nb_paths_bruteforce,
+    count_nb_paths_undirected,
+    iterate_recurrence,
+    lemma6_sweep_mp,
+    nb_path_matrix_bruteforce,
+)
 
 
 # -- operators ---------------------------------------------------------------
@@ -163,8 +169,8 @@ def test_parallel_edges_at_the_int64_edge(m, max_len, dtype):
 def test_build_rejects_bad_inputs():
     with pytest.raises(ValueError, match="biregular"):
         build_nb_operators(BipartiteMultigraph(2, 2, ((0, 0), (0, 1), (1, 0))), 2)
-    with pytest.raises(ValueError, match="max_len"):
-        build_nb_operators(c4(), 21)
+    with pytest.raises(EnumerationBudgetError, match="max_len"):
+        build_nb_operators(c4(), nbwalk.MAX_OPERATOR_LEN + 1)
 
 
 # -- path counting ------------------------------------------------------------
@@ -173,19 +179,19 @@ def test_build_rejects_bad_inputs():
 def test_count_c4_full_left():
     ops = build_nb_operators(c4(), 2)
     assert count_nb_paths_operator(ops, VertexSet.left([0, 1]), 2) == 4
-    assert count_nb_paths_bruteforce(c4(), VertexSet.left([0, 1]), 2) == 4
+    assert count_nb_paths(c4(), VertexSet.left([0, 1]), 2) == 4
 
 
 def test_count_c4_singleton_is_zero():
     ops = build_nb_operators(c4(), 2)
     assert count_nb_paths_operator(ops, VertexSet.left([0]), 2) == 0
-    assert count_nb_paths_bruteforce(c4(), VertexSet.left([0]), 2) == 0
+    assert count_nb_paths(c4(), VertexSet.left([0]), 2) == 0
 
 
 def test_count_empty_set():
     ops = build_nb_operators(c4(), 4)
     assert count_nb_paths_operator(ops, VertexSet.left([]), 4) == 0
-    assert count_nb_paths_bruteforce(c4(), VertexSet.left([]), 4) == 0
+    assert count_nb_paths(c4(), VertexSet.left([]), 4) == 0
 
 
 def test_count_rejects_odd_length():
@@ -195,7 +201,7 @@ def test_count_rejects_odd_length():
 
 
 def test_single_edge_length_two_backtracks():
-    assert count_nb_paths_bruteforce(single_edge(), VertexSet.left([0]), 2) == 0
+    assert count_nb_paths(single_edge(), VertexSet.left([0]), 2) == 0
 
 
 def test_count_sums_past_int64_exactly():
@@ -208,6 +214,10 @@ def test_count_sums_past_int64_exactly():
     count = count_nb_paths_operator(ops, VertexSet.left(range(n)), 8)
     assert type(count) is int
     assert count == n * m * (m - 1) ** 7 > nbwalk.INT64_LIMIT
+    # from 1_S: the walks of length 7 end on the right, each leaving its last
+    # left vertex by one of m - 1 edges
+    assert count_nb_paths(g, VertexSet.left(range(n)), 8) == count
+    assert count_nb_paths(g, VertexSet.left(range(n)), 7) == n * m * (m - 1) ** 6
 
 
 def test_count_unchanged_with_the_limit_forced_low(monkeypatch):
@@ -225,9 +235,10 @@ def test_count_unchanged_with_the_limit_forced_low(monkeypatch):
 
 def test_double_edge_multigraph_convention():
     # parallel edges admit a length-2 return using the other edge; the operator
-    # count and the edge-identity brute force agree on this
+    # count, the count from 1_S and the edge-identity brute force agree on this
     ops = build_nb_operators(double_edge(), 2)
     assert count_nb_paths_operator(ops, VertexSet.left([0]), 2) == 2
+    assert count_nb_paths(double_edge(), VertexSet.left([0]), 2) == 2
     assert count_nb_paths_bruteforce(double_edge(), VertexSet.left([0]), 2) == 2
 
 
@@ -236,16 +247,37 @@ def test_all_in_s_at_most_endpoints():
     for members in [(0,), (1, 4), (0, 2, 5)]:
         s = VertexSet.left(members)
         for length in (2, 4, 6):
-            assert count_nb_paths_bruteforce(g, s, length, ALL_IN_S) <= \
-                count_nb_paths_bruteforce(g, s, length, ENDPOINTS_IN_S)
+            assert count_nb_paths(g, s, length, ALL_IN_S) <= \
+                count_nb_paths(g, s, length, ENDPOINTS_IN_S)
 
 
-def test_brute_budget_errors():
+def test_count_matches_the_oracle_on_random_multigraphs():
+    # parallel edges, isolated vertices, uneven degrees and empty sets; odd
+    # lengths end on the right, so both modes differ from a row sum there
+    rng = np.random.default_rng(21)
+    sizes = set()
+    for _ in range(40):
+        g = random_multigraph(rng, max_side=4, max_edges=5)
+        members = rng.choice(g.n_left, size=int(rng.integers(0, g.n_left + 1)), replace=False)
+        s = VertexSet.left(members.tolist())
+        sizes.add(len(s))
+        for mode in (ENDPOINTS_IN_S, ALL_IN_S):
+            assert [count_nb_paths(g, s, length, mode) for length in range(9)] == \
+                [count_nb_paths_bruteforce(g, s, length, mode) for length in range(9)]
+    assert 0 in sizes
+
+
+def test_count_rejects_bad_inputs():
+    g = c4()
     with pytest.raises(EnumerationBudgetError):
-        count_nb_paths_bruteforce(c4(), VertexSet.left([0]), 9)
-    big = sample_biregular(128, 64, 2, 4, seed=0)
-    with pytest.raises(EnumerationBudgetError):
-        count_nb_paths_bruteforce(big, VertexSet.left([0]), 2)
+        count_nb_paths(g, VertexSet.left([0]), nbwalk.MAX_OPERATOR_LEN + 1)
+    for s, length, mode in [(VertexSet.left([0]), -1, ENDPOINTS_IN_S),
+                            (VertexSet.left([0]), 2, "both"),
+                            (VertexSet.right([0]), 2, ENDPOINTS_IN_S),
+                            (VertexSet.left([2]), 2, ALL_IN_S)]:
+        with pytest.raises(ValueError) as exc:
+            count_nb_paths(g, s, length, mode)
+        assert type(exc.value) is ValueError
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,7 +328,7 @@ def test_walk_counts_match_enumeration_on_random_multigraphs():
         x0[list(s.members)] = 1
         walks = nbwalk._nb_walk_counts(x0, (right, left), 8)
         for length in range(1, 9):
-            tally = nbwalk._nb_walks(g, length, s.members)
+            tally = _nb_walks(g, length, s.members)
             assert int(walks[length].sum()) == sum(tally.values())
             if length % 2 == 0:
                 # an even walk ends on the left, at its last left vertex
@@ -644,7 +676,7 @@ def test_lemma9_induced_subgraph():
 
 
 def test_lemma9_budget():
-    # 256 edges: past the depth-first enumeration's cap, not the recursion's
+    # 256 edges and every length up to the recursion's cap
     big = sample_biregular(128, 64, 2, 4, seed=0)
     assert len(lemma9_lower_check(big, ell_max=nbwalk.MAX_OPERATOR_LEN).entries) == 20
     with pytest.raises(EnumerationBudgetError):
@@ -710,7 +742,7 @@ def test_inequality_chain_on_petersen_incidence():
             if len(s) ** 2 * ((c - 1) * (d - 1)) ** ell > g.n_left ** 2:
                 continue
             m_undirected = count_nb_paths_undirected(g, s, 2 * ell)
-            m_directed_inside = count_nb_paths_bruteforce(g, s, 2 * ell, ALL_IN_S)
+            m_directed_inside = count_nb_paths(g, s, 2 * ell, ALL_IN_S)
             m_endpoints = count_nb_paths_operator(ops, s, 2 * ell)
             lower = c * len(s) * ((c - 1) * (dbar_r - 1)) ** ((2 * ell - 1) / 2)
             upper = nbwalk.lemma8_rhs(len(s), c, d, ell)

@@ -11,7 +11,6 @@ from expanderlab.spectral import (
     dumps_regular_graph,
     incidence_graph,
     incidence_spectrum_identity_check,
-    kahale_bound,
     loads_regular_graph,
     read_regular_graph,
     spectrum,
@@ -144,22 +143,6 @@ def test_regular_graph_validation():
         RegularGraph(2, 2, ((0, 0), (1, 1)))
     with pytest.raises(ValueError, match="regular"):
         RegularGraph(3, 2, ((0, 1), (1, 2)))
-
-
-# -- Kahale corollary bound ---------------------------------------------------
-
-
-def test_kahale_bound_values():
-    assert kahale_bound(2, 0.0) == pytest.approx(2.0)
-    assert kahale_bound(5, 0.0) == pytest.approx(3.0)
-    assert kahale_bound(44, 0.1) == pytest.approx(1 + 1.1 * math.sqrt(43))
-
-
-def test_kahale_bound_preconditions():
-    with pytest.raises(ValueError):
-        kahale_bound(1, 0.1)
-    with pytest.raises(ValueError):
-        kahale_bound(4, -0.1)
 
 
 # -- GRAPH v1 format ----------------------------------------------------------
