@@ -155,10 +155,6 @@ class BipartiteMultigraph:
             row[v] = row.get(v, 0) + 1
         return tuple(counts)
 
-    def port(self, v: int, i: int) -> int:
-        """The indexed neighbour E(v, i)."""
-        return self.right_ports[v][i]
-
     def biregularity(self) -> tuple[int, int] | None:
         """(c, d) when every left degree is c and every right degree is d, else None."""
         if self.n_left == 0 or self.n_right == 0:
@@ -211,16 +207,11 @@ class BipartiteMultigraph:
         return B
 
 
-def degrees(g: BipartiteMultigraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-vertex incident-edge counts, multi-edges counted with multiplicity."""
-    return g.left_degrees, g.right_degrees
-
-
-def _require_left(s: VertexSet, g: BipartiteMultigraph):
+def _require_left(s: VertexSet, n_left: int):
     if s.side != LEFT:
         raise ValueError("vertex set must live on the left side")
-    if s.members and s.members[-1] >= g.n_left:
-        raise ValueError(f"vertex {s.members[-1]} out of range for left side of size {g.n_left}")
+    if s.members and s.members[-1] >= n_left:
+        raise ValueError(f"vertex {s.members[-1]} out of range for left side of size {n_left}")
 
 
 def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> dict[int, int]:
@@ -235,7 +226,7 @@ def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> dict[int, int]:
 
 def neighbourhood(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
     """N(S): right vertices adjacent to at least one member of S."""
-    _require_left(s, g)
+    _require_left(s, g.n_left)
     return VertexSet.right(sorted(_edge_counts_into(g, s)))
 
 
@@ -245,7 +236,7 @@ def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
     Edge multiplicities count: a right vertex joined to a single u in S by a
     double edge is *not* a unique neighbour.
     """
-    _require_left(s, g)
+    _require_left(s, g.n_left)
     counts = _edge_counts_into(g, s)
     return VertexSet.right(sorted([v for v, k in counts.items() if k == 1]))
 

@@ -11,22 +11,26 @@ codes:
   5  domain precondition violated
   6  verification failed (witness found or bound violated)
   7  budget exceeded: a walk length above 20 (nbops --max-len, nbcount
-     --len, boundcheck lemma8 2*--ell, lemma9 --ell-max), neighbour-table
-     padding, the gadget search's nodes or the qhat scan's q limit
+     --len, boundcheck lemma8 2*--ell, lemma9 --ell-max), poly --n above
+     500, neighbour-table padding, the gadget search's nodes or the qhat
+     scan's q limit
 
 Pipeline stage failures use distinct codes: 10 spectral certification,
 11 gadget verification, 12 product construction, 13 unique-neighbour audit.
 
 Result payloads are the reports' to_dict() (expanderlab.report): every field
-by name, Fractions as "p/q" strings.  Numeric flags are range-checked while
-parsing, so a value outside the range exits 2 with nothing on stdout:
-pipeline --k, --retries, --audit-trials, qhat --margin and boundcheck
---samples, --ell, --ell-max take integers >= 1; --seed, --budget, gadget
-verify --k, nbops --max-len and nbcount --len integers >= 0; --precision an
-integer >= 15; --tolerance a finite number > 0; constants and bounds --eps a
-finite number >= 0; and boundcheck, constants and bounds --c and --d
-integers with 2 <= c < d.  UNE_PRECISION, read by qhat and boundcheck --kind
-lemma6 when --precision is not given, must be an integer >= 15 as well.
+by name, Fractions as "p/q" strings.  Each value has one flag: --seed,
+--budget, --precision and --tolerance go before the subcommand (commands
+that do not use them ignore them), and after it a subcommand accepts only
+the flags it reads; any other exits 2.  Numeric flags are
+range-checked while parsing, so a value outside the range exits 2 with
+nothing on stdout: pipeline --k, --retries, --audit-trials, qhat --margin
+and boundcheck --samples, --ell, --ell-max take integers >= 1; --seed,
+--budget, gadget verify --k, nbops --max-len, nbcount --len and poly --n
+integers >= 0; nbcount and boundcheck lemma8 --set comma-separated integers
+>= 0 (or none); --precision an integer >= 15; --tolerance a finite number
+> 0; constants and bounds --eps a finite number >= 0; and boundcheck
+lemma6, constants and bounds --c and --d integers with 2 <= c < d.
 
 nbcount counts the non-backtracking paths of --len from the left set --set
 whose last left vertex (--mode endpoints-in-S, the default) or every left
@@ -38,7 +42,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -58,8 +61,8 @@ EXIT_STAGE_GADGET = 11
 EXIT_STAGE_PRODUCT = 12
 EXIT_STAGE_AUDIT = 13
 
-# Fewest decimal digits --precision and UNE_PRECISION accept.  params screens
-# in float64 with mpmath constants converted at the working precision; 15
+# Fewest decimal digits --precision accepts.  params screens in float64
+# with mpmath constants converted at the working precision; 15
 # digits are mpmath's 53 bits, float64's own, so no constant reaches the
 # screen coarser than the screen's arithmetic.  At 0 to 4 digits q_hat is
 # wrong on every published table row (4642 for (35, 2), where it is 1492).
@@ -72,8 +75,12 @@ def _emit(payload: dict, summary: str) -> None:
 
 
 def _parse_vertex_set(text: str) -> bigraph.VertexSet:
-    members = [int(t) for t in text.split(",") if t != ""]
-    return bigraph.VertexSet.left(members)
+    """Flag type for a left vertex set: comma-separated integers >= 0, or none."""
+    members = [t for t in text.split(",") if t != ""]
+    if not all(t.isdecimal() for t in members):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers >= 0, got {text!r}")
+    return bigraph.VertexSet.left(int(t) for t in members)
 
 
 def _parse_gadget_params(text: str) -> tuple[int, int, int, int]:
@@ -92,9 +99,6 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return int(text)
     return parse
-
-
-_parse_precision = _int_at_least(PRECISION_FLOOR)
 
 
 def _finite_at_least(low: float, strict: bool = False):
@@ -153,9 +157,9 @@ def cmd_nbops(args) -> int:
 
 def cmd_nbcount(args) -> int:
     g = bigraph.read_graph(args.infile)
-    s = _parse_vertex_set(args.set)
-    count = nbwalk.count_nb_paths(g, s, args.length, mode=args.mode)
-    _emit({"set": list(s.members), "len": args.length, "mode": args.mode, "count": count},
+    count = nbwalk.count_nb_paths(g, args.set, args.length, mode=args.mode)
+    _emit({"set": list(args.set.members), "len": args.length, "mode": args.mode,
+           "count": count},
           f"count={count}")
     return EXIT_OK
 
@@ -170,30 +174,26 @@ def cmd_poly(args) -> int:
     return EXIT_OK
 
 
-def cmd_boundcheck(args) -> int:
-    if args.kind == "lemma6":
-        if args.c is None or args.d is None or args.ell is None:
-            raise ValueError("lemma6 needs --c, --d and --ell")
-        report = nbwalk.lemma6_bound_check(
-            args.c, args.d, args.ell, samples=args.samples, seed=args.seed,
-            precision=args.precision,
-        )
-        entry = report.entries[-1]
-        _emit(report.to_dict(),
-              f"lemma6 ell={args.ell} asserted={entry.asserted} "
-              f"violations={entry.violations} worst={entry.worst_ratio:.4f}")
-        return EXIT_VERIFICATION if entry.asserted and entry.violations else EXIT_OK
-    if args.kind == "lemma8":
-        if args.infile is None or args.set is None or args.ell is None:
-            raise ValueError("lemma8 needs --in, --set and --ell")
-        g = bigraph.read_graph(args.infile)
-        s = _parse_vertex_set(args.set)
-        report = nbwalk.lemma8_upper_check(g, s, args.ell, tolerance=args.tolerance)
-        _emit(report.to_dict(), f"lemma8 lhs={report.lhs} rhs={report.rhs:.4f} ok={report.ok}")
-        return EXIT_OK if report.ok else EXIT_VERIFICATION
-    # lemma9
-    if args.infile is None:
-        raise ValueError("lemma9 needs --in")
+def cmd_lemma6(args) -> int:
+    report = nbwalk.lemma6_bound_check(
+        args.c, args.d, args.ell, samples=args.samples, seed=args.seed,
+        precision=args.precision,
+    )
+    entry = report.entries[-1]
+    _emit(report.to_dict(),
+          f"lemma6 ell={args.ell} asserted={entry.asserted} "
+          f"violations={entry.violations} worst={entry.worst_ratio:.4f}")
+    return EXIT_VERIFICATION if entry.asserted and entry.violations else EXIT_OK
+
+
+def cmd_lemma8(args) -> int:
+    g = bigraph.read_graph(args.infile)
+    report = nbwalk.lemma8_upper_check(g, args.set, args.ell, tolerance=args.tolerance)
+    _emit(report.to_dict(), f"lemma8 lhs={report.lhs} rhs={report.rhs:.4f} ok={report.ok}")
+    return EXIT_OK if report.ok else EXIT_VERIFICATION
+
+
+def cmd_lemma9(args) -> int:
     g = bigraph.read_graph(args.infile)
     report = nbwalk.lemma9_lower_check(g, ell_max=args.ell_max)
     _emit(report.to_dict(), f"lemma9 ok={report.ok}")
@@ -202,7 +202,7 @@ def cmd_boundcheck(args) -> int:
 
 def cmd_gadget_sample(args) -> int:
     p = gadget.GadgetParams(L=args.L, R=args.R, c=args.c, d=args.d, seed=args.seed)
-    g = gadget.sample_gadget(p)
+    g = gadget.sample_biregular(p.L, p.R, p.c, p.d, p.seed)
     bigraph.write_graph(g, args.out)
     _emit({"params": p.to_dict(), "out": str(args.out), "edges": len(g.edges)},
           f"sampled ({args.c},{args.d})-biregular gadget with {len(g.edges)} edges")
@@ -240,11 +240,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_qhat(args) -> int:
-    report = params.qhat(
-        args.c0, args.alpha, interpretation=args.interpretation,
-        boundary=args.boundary, scan_margin=args.margin,
-        precision=args.precision,
-    )
+    report = params.qhat(args.c0, args.alpha, scan_margin=args.margin,
+                         precision=args.precision)
     _emit(report.to_dict(), f"q_hat({args.c0}, {args.alpha}) = {report.q_hat}")
     return EXIT_OK
 
@@ -306,7 +303,7 @@ def cmd_pipeline(args) -> int:
         attempts = []
         for retry in range(args.retries):
             p = gadget.GadgetParams(L=L0, R=R0, c=c0, d=d0, seed=args.seed + retry)
-            candidate = gadget.sample_gadget(p)
+            candidate = gadget.sample_biregular(p.L, p.R, p.c, p.d, p.seed)
             cand_cert = gadget.verify_unique_neighbour_upto(
                 candidate, required_k, budget=args.budget
             )
@@ -383,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=_int_at_least(0), default=0,
                         help="RNG seed (Philox 4x64), an integer >= 0")
-    parser.add_argument("--precision", type=_parse_precision, default=None,
+    parser.add_argument("--precision", type=_int_at_least(PRECISION_FLOOR),
+                        default=params.DEFAULT_PRECISION,
                         help=f"working precision in decimal digits, an integer >= {PRECISION_FLOOR} "
-                             f"(default: UNE_PRECISION or {params.DEFAULT_PRECISION})")
+                             f"(default {params.DEFAULT_PRECISION})")
     parser.add_argument("--budget", type=_int_at_least(0),
                         default=gadget.DEFAULT_NODE_BUDGET,
                         help="search nodes a gadget verification may visit (an integer >= 0)")
@@ -410,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nbcount", help="count non-backtracking paths")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--set", required=True, help="comma-separated left vertices")
+    p.add_argument("--set", type=_parse_vertex_set, required=True,
+                   help="comma-separated left vertices")
     p.add_argument("--len", dest="length", type=_int_at_least(0), required=True)
     p.add_argument("--mode", choices=[nbwalk.ENDPOINTS_IN_S, nbwalk.ALL_IN_S],
                    default=nbwalk.ENDPOINTS_IN_S)
@@ -419,19 +418,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("poly", help="path-count polynomial p_n")
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("boundcheck", help="numeric checks of the path-count bounds")
-    p.add_argument("--kind", choices=["lemma6", "lemma8", "lemma9"], required=True)
-    p.add_argument("--c", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--ell", type=_int_at_least(1))
-    p.add_argument("--samples", type=_int_at_least(1), default=10_000)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--set")
-    p.add_argument("--ell-max", dest="ell_max", type=_int_at_least(1), default=8)
-    p.set_defaults(func=cmd_boundcheck)
+    bsub = p.add_subparsers(dest="kind", required=True)
+    pb = bsub.add_parser("lemma6", help="band bound |p_ell| on sampled lambda")
+    pb.add_argument("--c", type=int, required=True)
+    pb.add_argument("--d", type=int, required=True)
+    pb.add_argument("--ell", type=_int_at_least(1), required=True)
+    pb.add_argument("--samples", type=_int_at_least(1), default=10_000)
+    pb.set_defaults(func=cmd_lemma6)
+    pb = bsub.add_parser("lemma8", help="upper bound on one set's path count")
+    pb.add_argument("--in", dest="infile", required=True)
+    pb.add_argument("--set", type=_parse_vertex_set, required=True,
+                    help="comma-separated left vertices")
+    pb.add_argument("--ell", type=_int_at_least(1), required=True)
+    pb.set_defaults(func=cmd_lemma8)
+    pb = bsub.add_parser("lemma9", help="lower bound on the whole graph's path counts")
+    pb.add_argument("--in", dest="infile", required=True)
+    pb.add_argument("--ell-max", dest="ell_max", type=_int_at_least(1), default=8)
+    pb.set_defaults(func=cmd_lemma9)
 
     p = sub.add_parser("gadget", help="sample / verify unique-neighbour gadgets")
     gsub = p.add_subparsers(dest="gadget_command", required=True)
@@ -440,15 +447,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--R", type=int, required=True)
     ps.add_argument("--c", type=int, required=True)
     ps.add_argument("--d", type=int, required=True)
-    # --seed and --budget repeat top-level flags; SUPPRESS keeps the top-level
-    # value unless the flag is given after the subcommand
-    ps.add_argument("--seed", type=_int_at_least(0), default=argparse.SUPPRESS)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_gadget_sample)
     pv = gsub.add_parser("verify")
     pv.add_argument("--in", dest="infile", required=True)
     pv.add_argument("--k", type=_int_at_least(0), required=True)
-    pv.add_argument("--budget", type=_int_at_least(0), default=argparse.SUPPRESS)
     pv.set_defaults(func=cmd_gadget_verify)
 
     p = sub.add_parser("product", help="routed product of big graph and gadget")
@@ -461,11 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qhat", help="threshold q_hat(c0, alpha)")
     p.add_argument("--c0", type=int, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--interpretation",
-                   choices=[params.ALL_INTEGERS, params.PRIME_POWERS],
-                   default=params.ALL_INTEGERS)
-    p.add_argument("--boundary", choices=[params.LAST_FAIL, params.FIRST_HOLD],
-                   default=params.FIRST_HOLD)
     p.add_argument("--margin", type=_int_at_least(1), default=params.DEFAULT_SCAN_MARGIN)
     p.set_defaults(func=cmd_qhat)
 
@@ -483,10 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="certify -> verify gadget -> product -> audit")
     p.add_argument("--big", required=True)
-    p.add_argument("--gadget", default=None, help="gadget graph file")
-    p.add_argument("--gadget-params", dest="gadget_params", type=_parse_gadget_params,
-                   default=None,
-                   help="L,R,c,d to sample a gadget instead of loading one")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gadget", help="gadget graph file")
+    source.add_argument("--gadget-params", dest="gadget_params", type=_parse_gadget_params,
+                        help="L,R,c,d to sample a gadget instead of loading one")
     p.add_argument("--alpha", default=None, help="declared imbalance (checked against gadget)")
     p.add_argument("--k", type=_int_at_least(1), default=1,
                    help="required verified unique-neighbour size (a positive integer)")
@@ -503,18 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    uses_precision = args.command == "qhat" or (
-        args.command == "boundcheck" and args.kind == "lemma6")
-    if uses_precision and args.precision is None:
-        env = os.environ.get("UNE_PRECISION") or str(params.DEFAULT_PRECISION)
-        try:
-            args.precision = _parse_precision(env)
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"UNE_PRECISION: {exc}")
-    if args.command == "pipeline" and not (args.gadget or args.gadget_params):
-        parser.error("pipeline needs --gadget or --gadget-params")
-    if args.command in ("boundcheck", "constants", "bounds") and None not in (args.c, args.d) \
-            and not 2 <= args.c < args.d:
+    if args.func in (cmd_lemma6, cmd_constants, cmd_bounds) and not 2 <= args.c < args.d:
         parser.error(f"--c and --d need 2 <= c < d, got c={args.c}, d={args.d}")
     try:
         return args.func(args)

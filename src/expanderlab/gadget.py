@@ -133,10 +133,6 @@ def sample_biregular(n_left: int, n_right: int, c: int, d: int, seed: int = 0) -
     return BipartiteMultigraph(n_left, n_right, edges)
 
 
-def sample_gadget(p: GadgetParams) -> BipartiteMultigraph:
-    return sample_biregular(p.L, p.R, p.c, p.d, p.seed)
-
-
 @dataclass(frozen=True)
 class GadgetCertificate(Report):
     """Outcome of the bad-set search up to a target size.

@@ -20,8 +20,9 @@ band (about 1e-12 on the published table rows).
 Because the reference table of q_hat values admits two reading ambiguities
 (scan over all integers vs prime powers only, and whether the reported
 threshold is the last failing q or the first q of the all-holds region),
-the scan computes every combination and reports them all.  The default
-(all integers, first-hold) reproduces the published table.
+the scan computes every combination and reports them all in
+q_hat_by_convention; q_hat is the reading that reproduces the published
+table (all integers, first-hold).
 """
 
 from __future__ import annotations
@@ -166,8 +167,6 @@ class ParamReport(Report):
     c0: int
     alpha: Fraction
     q_hat: int
-    interpretation: str
-    boundary: str
     scan_margin: int
     precision: int
     q_hat_by_convention: dict
@@ -179,8 +178,6 @@ class ParamReport(Report):
 def qhat(
     c0: int,
     alpha,
-    interpretation: str = ALL_INTEGERS,
-    boundary: str = FIRST_HOLD,
     scan_margin: int = DEFAULT_SCAN_MARGIN,
     precision: int = DEFAULT_PRECISION,
 ) -> ParamReport:
@@ -189,11 +186,11 @@ def qhat(
     No monotonicity is assumed: every failing q is counted and the scan stops
     only after scan_margin consecutive domain points hold past the last
     failure.  Where that needs a q above QHAT_MAX_Q it raises
-    EnumerationBudgetError.  Conventions: interpretation picks the scan
-    domain (all integers q >= 2, or prime powers only); boundary picks
-    whether q_hat reports the largest failing q ('last-fail') or the first q
-    of the verified all-holds region ('first-hold', the default, which
-    reproduces the published table).
+    EnumerationBudgetError.  q_hat_by_convention holds the answer for each
+    scan domain (all integers q >= 2, or prime powers only) and boundary (the
+    largest failing q, 'last-fail', or the first q of the verified all-holds
+    region, 'first-hold'); q_hat is all-integers/first-hold, the reading
+    that reproduces the published table.
     The comparison is non-strict; strict and non-strict never differ in
     practice (the two sides are transcendental in q).
 
@@ -208,10 +205,6 @@ def qhat(
     alpha = _as_fraction(alpha)
     if alpha <= 1:
         raise ValueError("need alpha > 1")
-    if interpretation not in (ALL_INTEGERS, PRIME_POWERS):
-        raise ValueError(f"unknown interpretation {interpretation!r}")
-    if boundary not in (LAST_FAIL, FIRST_HOLD):
-        raise ValueError(f"unknown boundary convention {boundary!r}")
     if scan_margin < 1:
         raise ValueError("need scan_margin >= 1")
 
@@ -276,9 +269,7 @@ def qhat(
     return ParamReport(
         c0=c0,
         alpha=alpha,
-        q_hat=convention[f"{interpretation}/{boundary}"],
-        interpretation=interpretation,
-        boundary=boundary,
+        q_hat=convention[f"{ALL_INTEGERS}/{FIRST_HOLD}"],
         scan_margin=scan_margin,
         precision=precision,
         q_hat_by_convention=convention,

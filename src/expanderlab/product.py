@@ -71,7 +71,7 @@ def routed_product(big: BipartiteMultigraph, gadget: BipartiteMultigraph) -> Rou
 
 def port_set(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
     """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports."""
-    _require_left(s, big)
+    _require_left(s, big.n_left)
     if not 0 <= v < big.n_right:
         raise ValueError(f"right vertex {v} out of range")
     slots = big.right_port_indices[v]

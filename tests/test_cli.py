@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from expanderlab import cli
+from expanderlab import cli, nbwalk, params
 from expanderlab.bigraph import VertexSet, write_graph
+from expanderlab.gadget import sample_biregular
 from expanderlab.spectral import incidence_graph, write_regular_graph
 
 from graphs import c4, complete_graph, cycle, hub, k21, k32, petersen
@@ -117,9 +118,17 @@ def test_poly_command(capsys):
     assert payload["coefficients"] == ["2", "-5", "1"]
 
 
+def test_poly_past_the_degree_cap_exits_7(capsys):
+    # refused before any coefficient is built: --n 3000 ran for 53 s
+    for n in (nbwalk.MAX_POLY_DEGREE + 1, 3000):
+        code, payload = run_cli(capsys, "poly", "--c", "2", "--d", "3", "--n", str(n))
+        assert code == cli.EXIT_BUDGET
+        assert payload["error"]["type"] == "EnumerationBudgetError"
+
+
 def test_boundcheck_lemma9(capsys, files):
     code, payload = run_cli(
-        capsys, "boundcheck", "--kind", "lemma9", "--in", files["c4"], "--ell-max", "4"
+        capsys, "boundcheck", "lemma9", "--in", files["c4"], "--ell-max", "4"
     )
     assert code == 0
     assert payload["ok"] is True
@@ -127,7 +136,7 @@ def test_boundcheck_lemma9(capsys, files):
 
 def test_boundcheck_lemma6(capsys):
     code, payload = run_cli(
-        capsys, "boundcheck", "--kind", "lemma6", "--c", "2", "--d", "3",
+        capsys, "boundcheck", "lemma6", "--c", "2", "--d", "3",
         "--ell", "14", "--samples", "500",
     )
     assert code == 0
@@ -136,7 +145,7 @@ def test_boundcheck_lemma6(capsys):
 
 def test_boundcheck_lemma8(capsys, files):
     code, payload = run_cli(
-        capsys, "boundcheck", "--kind", "lemma8", "--in", files["k32"],
+        capsys, "boundcheck", "lemma8", "--in", files["k32"],
         "--set", "0", "--ell", "1",
     )
     assert code == 0
@@ -146,8 +155,8 @@ def test_boundcheck_lemma8(capsys, files):
 def test_gadget_sample_and_verify(capsys, tmp_path):
     out = tmp_path / "g.bg"
     code, payload = run_cli(
-        capsys, "gadget", "sample", "--L", "8", "--R", "4", "--c", "2", "--d", "4",
-        "--seed", "5", "--out", str(out),
+        capsys, "--seed", "5", "gadget", "sample", "--L", "8", "--R", "4", "--c", "2", "--d", "4",
+        "--out", str(out),
     )
     assert code == 0
     assert out.exists()
@@ -157,17 +166,14 @@ def test_gadget_sample_and_verify(capsys, tmp_path):
 
 
 def test_seed_before_subcommand_reaches_gadget_sample(capsys, tmp_path):
-    top, sub = tmp_path / "top.bg", tmp_path / "sub.bg"
-    argv = ["--L", "12", "--R", "8", "--c", "4", "--d", "6"]
-    code, payload = run_cli(capsys, "--seed", "5", "gadget", "sample", *argv, "--out", str(top))
-    assert code == 0
-    assert payload["params"]["seed"] == 5
-    run_cli(capsys, "gadget", "sample", *argv, "--seed", "5", "--out", str(sub))
-    assert top.read_bytes() == sub.read_bytes()
-    # a value given to the subcommand wins over the top-level one
-    code, payload = run_cli(capsys, "--seed", "5", "gadget", "sample", *argv,
-                            "--seed", "6", "--out", str(sub))
-    assert payload["params"]["seed"] == 6
+    out, want = tmp_path / "out.bg", tmp_path / "want.bg"
+    argv = ["--L", "12", "--R", "8", "--c", "4", "--d", "6", "--out", str(out)]
+    for seed in (5, 6):
+        code, payload = run_cli(capsys, "--seed", str(seed), "gadget", "sample", *argv)
+        assert code == 0
+        assert payload["params"]["seed"] == seed
+        write_graph(sample_biregular(12, 8, 4, 6, seed=seed), want)
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_budget_before_subcommand_reaches_gadget_verify(capsys, files):
@@ -176,21 +182,18 @@ def test_budget_before_subcommand_reaches_gadget_verify(capsys, files):
                             "--in", files["k32"], "--k", "3")
     assert code == cli.EXIT_BUDGET
     assert payload["budget_exhausted"] is True and payload["verified_k"] == 1
-    code, _ = run_cli(capsys, "gadget", "verify", "--in", files["k32"], "--k", "3",
-                      "--budget", "3")
-    assert code == cli.EXIT_BUDGET
-    # a value given to the subcommand wins over the top-level one
-    code, _ = run_cli(capsys, "--budget", "3", "gadget", "verify", "--in", files["k32"],
-                      "--k", "3", "--budget", "100")
+    # with room to finish, the search refutes size 2 instead: every pair is bad
+    code, payload = run_cli(capsys, "--budget", "100", "gadget", "verify",
+                            "--in", files["k32"], "--k", "3")
     assert code == cli.EXIT_VERIFICATION
+    assert payload["budget_exhausted"] is False and payload["witness"] == [0, 1]
 
 
 def test_gadget_sample_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.bg", tmp_path / "b.bg"
-    run_cli(capsys, "gadget", "sample", "--L", "12", "--R", "8", "--c", "4", "--d", "6",
-            "--seed", "9", "--out", str(a))
-    run_cli(capsys, "gadget", "sample", "--L", "12", "--R", "8", "--c", "4", "--d", "6",
-            "--seed", "9", "--out", str(b))
+    for out in (a, b):
+        run_cli(capsys, "--seed", "9", "gadget", "sample", "--L", "12", "--R", "8",
+                "--c", "4", "--d", "6", "--out", str(out))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -220,7 +223,7 @@ def test_json_determinism_excluding_wall_time(capsys, files):
 
 @pytest.mark.parametrize("argv", [
     ("qhat", "--c0", "35", "--alpha", "2"),
-    ("boundcheck", "--kind", "lemma6", "--c", "2", "--d", "3", "--ell", "14", "--samples", "500"),
+    ("boundcheck", "lemma6", "--c", "2", "--d", "3", "--ell", "14", "--samples", "500"),
 ])
 def test_screened_commands_byte_determinism(capsys, argv):
     outputs = []
@@ -252,17 +255,11 @@ def test_qhat_command(capsys):
     code, payload = run_cli(capsys, "qhat", "--c0", "35", "--alpha", "2")
     assert code == 0
     assert payload["q_hat"] == 1492
-
-
-def test_precision_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("UNE_PRECISION", "45")
-    code, payload = run_cli(capsys, "qhat", "--c0", "35", "--alpha", "2")
-    assert code == 0
-    assert payload["precision"] == 45
-    # an explicit flag wins over the environment
-    code, payload = run_cli(capsys, "--precision", "25", "qhat", "--c0", "35", "--alpha", "2")
-    assert code == 0
-    assert payload["precision"] == 25
+    assert payload["q_hat_by_convention"] == {
+        "all-integers/last-fail": 1491, "all-integers/first-hold": 1492,
+        "prime-powers-only/last-fail": 1489, "prime-powers-only/first-hold": 1493}
+    assert payload["precision"] == params.DEFAULT_PRECISION
+    assert "interpretation" not in payload and "boundary" not in payload
 
 
 def test_constants_command(capsys):
@@ -331,27 +328,32 @@ def test_pipeline_counts_must_be_positive(capsys, files, flag):
 
 @pytest.mark.parametrize("flag,argv", [
     ("--budget", ["--budget", "-1", "gadget", "verify", "--k", "3"]),
-    ("--budget", ["gadget", "verify", "--k", "3", "--budget", "-1"]),
+    ("--budget", ["--budget", "x", "gadget", "verify", "--k", "3"]),
     *(("--tolerance", ["--tolerance", value, "spectrum"])
       for value in ("nan", "inf", "-1", "0", "x")),
     *(("--precision", ["--precision", value, "spectrum"]) for value in ("14", "0", "-1", "x")),
     ("--max-len", ["nbops", "--max-len", "-1"]),
     ("--len", ["nbcount", "--set", "0", "--len", "-1"]),
     ("--k", ["gadget", "verify", "--k", "-1"]),
-    ("--ell-max", ["boundcheck", "--kind", "lemma9", "--ell-max", "0"]),
-    ("--samples", ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "2",
+    ("--ell-max", ["boundcheck", "lemma9", "--ell-max", "0"]),
+    ("--samples", ["boundcheck", "lemma6", "--c", "3", "--d", "4", "--ell", "2",
                    "--samples", "0"]),
     ("--seed", ["--seed", "-1", "pipeline", "--big", "c6.bg", "--gadget-params", "2,1,1,2"]),
-    ("--seed", ["gadget", "sample", "--L", "2", "--R", "1", "--c", "1", "--d", "2",
-                "--out", "g.bg", "--seed", "-1"]),
+    ("--seed", ["--seed", "x", "gadget", "sample", "--L", "2", "--R", "1", "--c", "1",
+                "--d", "2", "--out", "g.bg"]),
     ("--margin", ["qhat", "--c0", "35", "--alpha", "2", "--margin", "0"]),
-    ("--ell", ["boundcheck", "--kind", "lemma8", "--set", "0", "--ell", "-1"]),
-    ("--ell", ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "0"]),
-    *(("--c", ["boundcheck", "--kind", "lemma6", "--c", c, "--d", d, "--ell", "2",
+    ("--ell", ["boundcheck", "lemma8", "--set", "0", "--ell", "-1"]),
+    ("--ell", ["boundcheck", "lemma6", "--c", "3", "--d", "4", "--ell", "0"]),
+    *(("--c", ["boundcheck", "lemma6", "--c", c, "--d", d, "--ell", "2",
                "--samples", "5"]) for c, d in (("1", "5"), ("5", "3"), ("4", "4"))),
     *(("--c", [command, "--c", "5", "--d", "3", "--eps", "0"]) for command in ("bounds", "constants")),
     *(("--eps", [command, "--c", "2", "--d", "3", "--eps", value])
       for command in ("bounds", "constants") for value in ("nan", "inf", "-0.5", "x")),
+    # a vertex set is checked before its graph file is read, even a missing one
+    *(("--set", [*command, "--in", "missing.bg", "--set", value, *rest])
+      for command, rest in ((["nbcount"], ["--len", "2"]), (["boundcheck", "lemma8"], ["--ell", "1"]))
+      for value in ("x", "-1", "0,x", "1.5")),
+    ("--n", ["poly", "--c", "2", "--d", "3", "--n", "-1"]),
 ])
 def test_out_of_range_flag_is_a_flag_error(capsys, flag, argv):
     # each value is refused before any file is read: the error line names the flag
@@ -363,28 +365,40 @@ def test_out_of_range_flag_is_a_flag_error(capsys, flag, argv):
     assert flag in captured.err.splitlines()[-1]
 
 
+def test_precision_env_is_not_read(capsys, monkeypatch):
+    # --precision is the one way to set the working precision
+    for value in ("45", "10"):
+        monkeypatch.setenv("UNE_PRECISION", value)
+        code, payload = run_cli(capsys, "qhat", "--c0", "35", "--alpha", "2")
+        assert code == 0 and payload["precision"] == params.DEFAULT_PRECISION
+        code, payload = run_cli(capsys, "boundcheck", "lemma6", "--c", "2", "--d", "3",
+                                "--ell", "14", "--samples", "50")
+        assert code == 0 and payload["precision"] == params.DEFAULT_PRECISION
+
+
 @pytest.mark.parametrize("argv", [
-    ["qhat", "--c0", "35", "--alpha", "2"],
-    ["boundcheck", "--kind", "lemma6", "--c", "3", "--d", "4", "--ell", "2", "--samples", "5"],
+    # the convention selectors: q_hat_by_convention carries all four readings
+    ["qhat", "--c0", "35", "--alpha", "2", "--interpretation", "prime-powers-only"],
+    ["qhat", "--c0", "35", "--alpha", "2", "--boundary", "last-fail"],
+    # --seed and --budget are set before the subcommand only
+    ["gadget", "sample", "--L", "4", "--R", "2", "--c", "1", "--d", "2", "--out", "{dir}/s.bg",
+     "--seed", "6"],
+    ["gadget", "verify", "--in", "{k32}", "--k", "3", "--budget", "3"],
+    # each boundcheck kind takes only its own flags, and needs the ones it reads
+    ["boundcheck", "lemma9", "--in", "{c4}", "--samples", "5"],
+    ["boundcheck", "lemma9", "--in", "{c4}", "--ell-max", "2", "--c", "9", "--set", "1"],
+    ["boundcheck", "lemma6", "--c", "2", "--d", "3"],
+    ["boundcheck", "lemma8", "--in", "{k32}", "--ell", "1"],
+    ["boundcheck", "--kind", "lemma9", "--in", "{c4}"],
+    # one gadget source, never both
+    ["pipeline", "--big", "{c6}", "--gadget", "{k21}", "--gadget-params", "9,9,9,9"],
 ])
-@pytest.mark.parametrize("value", ["14", "0", "x"])
-def test_precision_env_below_the_floor_is_a_flag_error(capsys, monkeypatch, value, argv):
-    monkeypatch.setenv("UNE_PRECISION", value)
+def test_removed_or_foreign_flag_is_a_flag_error(capsys, files, argv):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
+        cli.main([a.format(**files) for a in argv])
     assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "UNE_PRECISION" in captured.err
-
-
-def test_precision_env_is_ignored_where_precision_is_unused(capsys, monkeypatch, files):
-    monkeypatch.setenv("UNE_PRECISION", "10")
-    code, payload = run_cli(capsys, "spectrum", "--in", files["k32"])
-    assert code == 0 and payload["ramanujan"] is True
-    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", files["c4"],
-                            "--ell-max", "2")
-    assert code == 0 and payload["ok"] is True
+    assert capsys.readouterr().out == ""
+    assert not (files["dir"] / "s.bg").exists()
 
 
 @pytest.mark.parametrize("c0,alpha,q_hat", [(35, "2", 1492), (100, "1.01", 1135),
@@ -400,6 +414,7 @@ def test_precision_floor_reproduces_the_table(capsys, c0, alpha, q_hat):
     ["nbops", "--max-len", "0"],
     ["nbcount", "--set", "0", "--len", "0"],
     ["gadget", "verify", "--k", "0"],
+    ["nbcount", "--set", "", "--len", "2"],
 ])
 def test_zero_stays_a_valid_count(capsys, files, argv):
     code, payload = run_cli(capsys, *argv, "--in", files["c4"])
@@ -412,8 +427,8 @@ def test_tolerance_flag_accepts_a_finite_positive_value(capsys, files):
 
 
 def test_budget_zero_is_exhausted_at_once(capsys, files):
-    code, payload = run_cli(capsys, "gadget", "verify", "--in", files["k32"], "--k", "3",
-                            "--budget", "0")
+    code, payload = run_cli(capsys, "--budget", "0", "gadget", "verify", "--in", files["k32"],
+                            "--k", "3")
     assert code == cli.EXIT_BUDGET
     assert payload["budget_exhausted"] is True and payload["subsets_checked"] == 0
 
@@ -436,9 +451,10 @@ def test_pipeline_alpha_consistency(capsys, files):
 
 
 def test_pipeline_requires_gadget_source(capsys, files):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["pipeline", "--big", files["c6"]])
-    capsys.readouterr()
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_budget_exit_code(capsys, files):
@@ -450,8 +466,8 @@ def test_budget_exit_code(capsys, files):
     ["nbops", "--max-len", "21"],
     ["nbcount", "--set", "0", "--len", "21"],
     ["nbcount", "--set", "0", "--len", "21", "--mode", "all-in-S"],
-    ["boundcheck", "--kind", "lemma8", "--set", "0", "--ell", "11"],
-    ["boundcheck", "--kind", "lemma9", "--ell-max", "21"],
+    ["boundcheck", "lemma8", "--set", "0", "--ell", "11"],
+    ["boundcheck", "lemma9", "--ell-max", "21"],
 ])
 def test_walk_length_cap_exits_7(capsys, files, argv):
     # C6 is certified and (c-1)(d-1) = 1, so lemma 8 at ell = 11 passes its
@@ -466,19 +482,19 @@ def test_lemma9_reports_past_the_enumeration_caps(capsys, tmp_path):
     # length 20 and exits 7 only past that
     path = tmp_path / "k21inc.bg"
     write_graph(incidence_graph(complete_graph(21)), path)
-    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path))
+    code, payload = run_cli(capsys, "boundcheck", "lemma9", "--in", str(path))
     assert code == cli.EXIT_OK
     assert [e["count"] for e in payload["entries"][:4]] == [420, 4200, 7980, 79800]
-    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path),
+    code, payload = run_cli(capsys, "boundcheck", "lemma9", "--in", str(path),
                             "--ell-max", "20")
     assert code == cli.EXIT_OK and len(payload["entries"]) == 20
-    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path),
+    code, payload = run_cli(capsys, "boundcheck", "lemma9", "--in", str(path),
                             "--ell-max", "21")
     assert code == cli.EXIT_BUDGET
     assert payload["error"]["type"] == "EnumerationBudgetError"
     # 6,000 edges, but padded to the hub's degree the left table has 9e6 empty cells
     write_graph(hub(3000), path)
-    code, payload = run_cli(capsys, "boundcheck", "--kind", "lemma9", "--in", str(path))
+    code, payload = run_cli(capsys, "boundcheck", "lemma9", "--in", str(path))
     assert code == cli.EXIT_BUDGET
     assert payload["error"]["type"] == "EnumerationBudgetError"
 
@@ -489,7 +505,7 @@ def test_qhat_past_the_scan_limit_exits_7():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-m", "expanderlab.cli", "qhat", "--c0", "6", "--alpha", "3/2",
-         "--margin", "100", "--interpretation", "prime-powers-only", "--boundary", "last-fail"],
+         "--margin", "100"],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert done.returncode == cli.EXIT_BUDGET, done.stderr

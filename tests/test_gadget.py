@@ -12,7 +12,6 @@ from expanderlab.gadget import (
     lemma7_series_report,
     repeats_probability_bound,
     sample_biregular,
-    sample_gadget,
     verify_unique_neighbour_upto,
 )
 
@@ -82,13 +81,11 @@ def test_k_bound_agrees_with_qhat_at_table_boundary(c0, alpha, q_hat):
 
 
 def test_sample_unique_matching():
-    p = GadgetParams(L=2, R=1, c=1, d=2)
-    assert sample_gadget(p).edges == k21().edges
+    assert sample_biregular(2, 1, 1, 2).edges == k21().edges
 
 
 def test_sample_deterministic():
-    p = GadgetParams(L=12, R=8, c=4, d=6, seed=77)
-    assert sample_gadget(p) == sample_gadget(p)
+    assert sample_biregular(12, 8, 4, 6, seed=77) == sample_biregular(12, 8, 4, 6, seed=77)
 
 
 def test_sample_seed_changes_output():

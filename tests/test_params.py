@@ -79,11 +79,13 @@ def test_prime_power_sieve_agrees_with_trial_division():
 def test_qhat_35_2_reproduces_table_row():
     report = qhat(35, 2)
     assert report.q_hat == 1492
-    assert report.interpretation == ALL_INTEGERS
-    assert report.boundary == FIRST_HOLD
-    conv = report.q_hat_by_convention
-    assert conv[f"{ALL_INTEGERS}/{LAST_FAIL}"] == 1491
-    assert conv[f"{ALL_INTEGERS}/{FIRST_HOLD}"] == 1492
+    # q_hat is the all-integers/first-hold reading of all four
+    assert report.q_hat_by_convention == {
+        f"{ALL_INTEGERS}/{LAST_FAIL}": 1491,
+        f"{ALL_INTEGERS}/{FIRST_HOLD}": 1492,
+        f"{PRIME_POWERS}/{LAST_FAIL}": 1489,
+        f"{PRIME_POWERS}/{FIRST_HOLD}": 1493,
+    }
 
 
 def test_qhat_conventions_are_consistent():

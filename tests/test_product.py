@@ -82,7 +82,7 @@ def test_port_set_matches_the_scan_oracle():
             for v in range(g.n_right):
                 ports = port_set(g, v, s)
                 assert ports == port_set_scan(g, v, s)
-                owners = [g.port(v, i) for i in ports]
+                owners = [g.right_ports[v][i] for i in ports]
                 repeated_ports += len(set(owners)) < len(owners)
     assert repeated_ports and empty_sets
 

@@ -58,15 +58,13 @@ CASES = [
      {"avg_left_degree": 2.0, "avg_right_degree": 3.0, "ok": False,
       "entries": [{"ell": 1, "count": 6, "lower_bound": 6.0, "ok": True},
                   {"ell": 2, "count": 5, "lower_bound": 8.5, "ok": False}]}),
-    (ParamReport(c0=35, alpha=Fraction(101, 100), q_hat=1135, interpretation="all-integers",
-                 boundary="first-hold", scan_margin=10000, precision=30,
+    (ParamReport(c0=35, alpha=Fraction(101, 100), q_hat=1135, scan_margin=10000, precision=30,
                  q_hat_by_convention={"prime-powers-only/last-fail": 1129,
                                       "all-integers/last-fail": 1134,
                                       "all-integers/first-hold": 1135,
                                       "prime-powers-only/first-hold": 1151},
                  failures_found=1133, evaluations=21133, escalations=0),
-     {"c0": 35, "alpha": "101/100", "q_hat": 1135, "interpretation": "all-integers",
-      "boundary": "first-hold", "scan_margin": 10000, "precision": 30,
+     {"c0": 35, "alpha": "101/100", "q_hat": 1135, "scan_margin": 10000, "precision": 30,
       "q_hat_by_convention": {"all-integers/first-hold": 1135,
                               "all-integers/last-fail": 1134,
                               "prime-powers-only/first-hold": 1151,
