@@ -365,15 +365,27 @@ def test_out_of_range_flag_is_a_flag_error(capsys, flag, argv):
     assert flag in captured.err.splitlines()[-1]
 
 
-def test_precision_env_is_not_read(capsys, monkeypatch):
-    # --precision is the one way to set the working precision
-    for value in ("45", "10"):
-        monkeypatch.setenv("UNE_PRECISION", value)
-        code, payload = run_cli(capsys, "qhat", "--c0", "35", "--alpha", "2")
-        assert code == 0 and payload["precision"] == params.DEFAULT_PRECISION
-        code, payload = run_cli(capsys, "boundcheck", "lemma6", "--c", "2", "--d", "3",
-                                "--ell", "14", "--samples", "50")
-        assert code == 0 and payload["precision"] == params.DEFAULT_PRECISION
+def test_precision_env_and_flag(capsys, monkeypatch):
+    # --precision is the one way to set the working precision: UNE_PRECISION is not read
+    monkeypatch.setenv("UNE_PRECISION", "45")
+    code, payload = run_cli(capsys, "qhat", "--c0", "35", "--alpha", "2")
+    assert code == 0
+    assert payload["precision"] == params.DEFAULT_PRECISION
+    code, payload = run_cli(capsys, "--precision", "25", "qhat", "--c0", "35", "--alpha", "2")
+    assert code == 0
+    assert payload["precision"] == 25
+
+
+def test_precision_env_is_ignored_where_precision_is_unused(capsys, monkeypatch, files):
+    # a value below the floor is no flag error either: the variable is ignored everywhere
+    monkeypatch.setenv("UNE_PRECISION", "10")
+    code, payload = run_cli(capsys, "spectrum", "--in", files["k32"])
+    assert code == 0 and payload["ramanujan"] is True
+    code, payload = run_cli(capsys, "boundcheck", "lemma9", "--in", files["c4"], "--ell-max", "2")
+    assert code == 0 and payload["ok"] is True
+    code, payload = run_cli(capsys, "boundcheck", "lemma6", "--c", "2", "--d", "3",
+                            "--ell", "14", "--samples", "50")
+    assert code == 0 and payload["precision"] == params.DEFAULT_PRECISION
 
 
 @pytest.mark.parametrize("argv", [
