@@ -29,8 +29,11 @@ and boundcheck --samples, --ell, --ell-max take integers >= 1; --seed,
 --budget, gadget verify --k, nbops --max-len, nbcount --len and poly --n
 integers >= 0; nbcount and boundcheck lemma8 --set comma-separated integers
 >= 0 (or none); --precision an integer >= 15; --tolerance a finite number
-> 0; constants and bounds --eps a finite number >= 0; and boundcheck
-lemma6, constants and bounds --c and --d integers with 2 <= c < d.
+> 0; constants and bounds --eps a finite number >= 0; boundcheck lemma6,
+constants and bounds --c and --d integers with 2 <= c < d, and poly with
+2 <= c <= d; gadget sample --L, --R, --c, --d integers >= 1; qhat --c0 an
+integer >= 6; and qhat and pipeline --alpha a rational number > 0 (an
+integer, a decimal or p/q).
 
 nbcount counts the non-backtracking paths of --len from the left set --set
 whose last left vertex (--mode endpoints-in-S, the default) or every left
@@ -40,6 +43,7 @@ vertex (--mode all-in-S) lies in the set, and prints {set, len, mode, count}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -119,6 +123,18 @@ def _finite_at_least(low: float, strict: bool = False):
 _parse_tolerance = _finite_at_least(0, strict=True)
 
 
+def _parse_alpha(text: str) -> Fraction:
+    """Flag type for a rational number > 0: an integer, a decimal or p/q."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = Fraction(0)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number > 0 (an integer, a decimal or p/q), got {text!r}")
+    return value
+
+
 def cmd_spectrum(args) -> int:
     g = bigraph.read_graph(args.infile)
     report = spectral.spectrum(g, tolerance=args.tolerance)
@@ -175,12 +191,10 @@ def cmd_poly(args) -> int:
 
 
 def cmd_lemma6(args) -> int:
-    report = nbwalk.lemma6_bound_check(
-        args.c, args.d, args.ell, samples=args.samples, seed=args.seed,
-        precision=args.precision,
-    )
+    report = nbwalk.lemma6_sweep(args.c, args.d, args.ell, samples=args.samples, seed=args.seed,
+                                 precision=args.precision)
     entry = report.entries[-1]
-    _emit(report.to_dict(),
+    _emit(dataclasses.replace(report, entries=(entry,)).to_dict(),
           f"lemma6 ell={args.ell} asserted={entry.asserted} "
           f"violations={entry.violations} worst={entry.worst_ratio:.4f}")
     return EXIT_VERIFICATION if entry.asserted and entry.violations else EXIT_OK
@@ -262,8 +276,11 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _pipeline_payload(stages: list[dict]) -> dict:
-    return {"stages": stages, "passed": all(s["ok"] for s in stages)}
+def _pipeline_stop(stages: list[dict], stage: dict, summary: str, code: int) -> int:
+    """Append the last stage run, print the payload and return the exit code."""
+    stages.append(stage)
+    _emit({"stages": stages, "passed": all(s["ok"] for s in stages)}, summary)
+    return code
 
 
 def cmd_pipeline(args) -> int:
@@ -271,67 +288,50 @@ def cmd_pipeline(args) -> int:
 
     big = bigraph.read_graph(args.big)
     report = spectral.spectrum(big, tolerance=args.tolerance)
-    stages.append({"stage": "spectral", "ok": report.ramanujan,
-                   "report": report.to_dict()})
+    spectral_stage = {"stage": "spectral", "ok": report.ramanujan, "report": report.to_dict()}
     if not report.ramanujan:
-        _emit(_pipeline_payload(stages), "pipeline: spectral certification failed")
-        return EXIT_STAGE_SPECTRAL
+        return _pipeline_stop(stages, spectral_stage, "pipeline: spectral certification failed",
+                              EXIT_STAGE_SPECTRAL)
+    stages.append(spectral_stage)
     c, d = report.c, report.d
 
-    alpha = None
-    if args.alpha is not None:
-        alpha = Fraction(args.alpha)
-
-    required_k = args.k
+    # (seed, gadget) candidates: the loaded gadget, or one draw per retry
+    # seed, each checked and sampled only once the one before it has failed
     if args.gadget:
         small = bigraph.read_graph(args.gadget)
-        gadget_left = small.n_left
+        gadget_left, candidates = small.n_left, [(None, small)]
     else:
-        L0, R0, c0, d0 = args.gadget_params
-        gadget_left = L0
+        gadget_left, R0, c0, d0 = args.gadget_params
+        draws = (gadget.GadgetParams(L=gadget_left, R=R0, c=c0, d=d0, seed=args.seed + retry)
+                 for retry in range(args.retries))
+        candidates = ((p.seed, gadget.sample_biregular(p.L, p.R, p.c, p.d, p.seed))
+                      for p in draws)
     if gadget_left != d:
-        stages.append({"stage": "gadget", "ok": False,
-                       "reason": f"port-count mismatch: gadget left {gadget_left} != d {d}"})
-        _emit(_pipeline_payload(stages), "pipeline: gadget port mismatch")
-        return EXIT_STAGE_PRODUCT
-    if args.gadget:
-        cert = gadget.verify_unique_neighbour_upto(small, required_k, budget=args.budget)
-        attempts = [cert.to_dict()]
-    else:
-        small = None
-        cert = None
-        attempts = []
-        for retry in range(args.retries):
-            p = gadget.GadgetParams(L=L0, R=R0, c=c0, d=d0, seed=args.seed + retry)
-            candidate = gadget.sample_biregular(p.L, p.R, p.c, p.d, p.seed)
-            cand_cert = gadget.verify_unique_neighbour_upto(
-                candidate, required_k, budget=args.budget
-            )
-            attempts.append({"seed": p.seed, **cand_cert.to_dict()})
-            if cand_cert.verified_k == required_k:
-                small, cert = candidate, cand_cert
-                break
-        if small is None:
-            stages.append({"stage": "gadget", "ok": False, "attempts": attempts})
-            _emit(_pipeline_payload(stages),
-                  f"pipeline: no sampled gadget verified to k={required_k}")
-            return EXIT_STAGE_GADGET
+        return _pipeline_stop(
+            stages, {"stage": "gadget", "ok": False,
+                     "reason": f"port-count mismatch: gadget left {gadget_left} != d {d}"},
+            "pipeline: gadget port mismatch", EXIT_STAGE_PRODUCT)
+    attempts = []
+    for seed, small in candidates:
+        cert = gadget.verify_unique_neighbour_upto(small, args.k, budget=args.budget)
+        attempts.append(cert.to_dict() if seed is None else {"seed": seed, **cert.to_dict()})
+        if cert.verified_k >= args.k:
+            break
+    gadget_stage = {"stage": "gadget", "ok": cert.verified_k >= args.k, "required_k": args.k,
+                    "attempts": attempts}
+    if not gadget_stage["ok"]:
+        return _pipeline_stop(stages, gadget_stage, f"pipeline: no gadget verified to k={args.k}",
+                              EXIT_STAGE_GADGET)
+    stages.append(gadget_stage)
 
-    gadget_ok = cert.verified_k >= required_k
-    stages.append({"stage": "gadget", "ok": gadget_ok, "required_k": required_k,
-                   "attempts": attempts})
-    if not gadget_ok:
-        _emit(_pipeline_payload(stages),
-              f"pipeline: gadget verified only to k={cert.verified_k} < {required_k}")
-        return EXIT_STAGE_GADGET
-
+    alpha = args.alpha
     if alpha is not None:
         expected_r0 = Fraction(d, 1) / (alpha * c)
         if expected_r0 != small.n_right:
-            stages.append({"stage": "product", "ok": False,
-                           "reason": f"gadget right side {small.n_right} != d/(alpha c) = {expected_r0}"})
-            _emit(_pipeline_payload(stages), "pipeline: alpha inconsistent with gadget size")
-            return EXIT_STAGE_PRODUCT
+            reason = f"gadget right side {small.n_right} != d/(alpha c) = {expected_r0}"
+            return _pipeline_stop(stages, {"stage": "product", "ok": False, "reason": reason},
+                                  "pipeline: alpha inconsistent with gadget size",
+                                  EXIT_STAGE_PRODUCT)
     else:
         alpha = Fraction(d, 1) / (c * small.n_right)
 
@@ -366,11 +366,10 @@ def cmd_pipeline(args) -> int:
         if check.vacuous or not check.ok or len(direct) == 0:
             audit["failures"] += 1
     audit_ok = audit["failures"] == 0 and audit["conclusive"] > 0
-    stages.append({"stage": "audit", "ok": audit_ok, **audit})
-    _emit(_pipeline_payload(stages),
-          f"pipeline: {'PASS' if audit_ok else 'FAIL'} "
-          f"(audit {audit['conclusive']}/{audit['trials']} conclusive)")
-    return EXIT_OK if audit_ok else EXIT_STAGE_AUDIT
+    return _pipeline_stop(stages, {"stage": "audit", "ok": audit_ok, **audit},
+                          f"pipeline: {'PASS' if audit_ok else 'FAIL'} "
+                          f"(audit {audit['conclusive']}/{audit['trials']} conclusive)",
+                          EXIT_OK if audit_ok else EXIT_STAGE_AUDIT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_nbcount)
 
     p = sub.add_parser("poly", help="path-count polynomial p_n")
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--c", type=_int_at_least(2), required=True)
+    p.add_argument("--d", type=_int_at_least(2), required=True)
     p.add_argument("--n", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_poly)
 
@@ -443,10 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadget", help="sample / verify unique-neighbour gadgets")
     gsub = p.add_subparsers(dest="gadget_command", required=True)
     ps = gsub.add_parser("sample")
-    ps.add_argument("--L", type=int, required=True)
-    ps.add_argument("--R", type=int, required=True)
-    ps.add_argument("--c", type=int, required=True)
-    ps.add_argument("--d", type=int, required=True)
+    ps.add_argument("--L", type=_int_at_least(1), required=True)
+    ps.add_argument("--R", type=_int_at_least(1), required=True)
+    ps.add_argument("--c", type=_int_at_least(1), required=True)
+    ps.add_argument("--d", type=_int_at_least(1), required=True)
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_gadget_sample)
     pv = gsub.add_parser("verify")
@@ -462,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("qhat", help="threshold q_hat(c0, alpha)")
-    p.add_argument("--c0", type=int, required=True)
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--c0", type=_int_at_least(6), required=True)
+    p.add_argument("--alpha", type=_parse_alpha, required=True)
     p.add_argument("--margin", type=_int_at_least(1), default=params.DEFAULT_SCAN_MARGIN)
     p.set_defaults(func=cmd_qhat)
 
@@ -485,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--gadget", help="gadget graph file")
     source.add_argument("--gadget-params", dest="gadget_params", type=_parse_gadget_params,
                         help="L,R,c,d to sample a gadget instead of loading one")
-    p.add_argument("--alpha", default=None, help="declared imbalance (checked against gadget)")
+    p.add_argument("--alpha", type=_parse_alpha, default=None,
+                   help="declared imbalance, a rational number > 0 (checked against gadget)")
     p.add_argument("--k", type=_int_at_least(1), default=1,
                    help="required verified unique-neighbour size (a positive integer)")
     p.add_argument("--retries", type=_int_at_least(1), default=16,
@@ -501,8 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func in (cmd_lemma6, cmd_constants, cmd_bounds) and not 2 <= args.c < args.d:
-        parser.error(f"--c and --d need 2 <= c < d, got c={args.c}, d={args.d}")
+    if args.func in (cmd_lemma6, cmd_constants, cmd_bounds, cmd_poly):
+        equal_ok = args.func is cmd_poly  # p_n allows c = d; the band bounds do not
+        if not (2 <= args.c < args.d or equal_ok and 2 <= args.c == args.d):
+            parser.error(f"--c and --d need 2 <= c {'<=' if equal_ok else '<'} d, "
+                         f"got c={args.c}, d={args.d}")
     try:
         return args.func(args)
     except bigraph.GraphFormatError as exc:

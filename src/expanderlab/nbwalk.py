@@ -53,6 +53,9 @@ ALL_IN_S = "all-in-S"
 # (cancellation control near the band endpoints).
 REPEATED_ROOT_EPS = 1e-8
 
+# lambda grid points inside the band on which ell_min takes its maximum
+ELL_MIN_GRID_POINTS = 2048
+
 # a float64 lemma-6 ratio this close to 1.0 or to the running maximum is
 # re-evaluated in mpmath
 SCREEN_GUARD = 1e-6
@@ -322,21 +325,22 @@ def verify_operator_polynomial_identity(g: BipartiteMultigraph, n: int) -> PolyI
     return PolyIdentityReport(n=n, ok=worst == 0, max_residual=worst, worst_entry=worst_entry)
 
 
-# -- second-order linear recurrences and the characteristic roots -----------
+# -- the closed form of the p_n recurrence ------------------------------------
 
 
 @dataclass(frozen=True)
-class RecurrenceSolution:
-    """Closed form for x_n = A x_{n-1} + B x_{n-2}.
+class CharRoots:
+    """The p_n recurrence p_{n+1} = a p_n + b p_{n-1} solved at a fixed x = lambda^2,
+    with a = x - (c-1) - (d-1), b = -(c-1)(d-1), p_0 = c/(c-1) and p_1 = x - c.
 
-    Distinct roots: x_n = alpha * lambda1^n + beta * lambda2^n.
-    Repeated root:  x_n = (alpha + n * beta) * lambda^n.
+    Distinct roots: p_n = alpha * lambda1^n + beta * lambda2^n.
+    Repeated root:  p_n = (alpha + n * beta) * lambda1^n.
     """
 
-    a: complex
-    b: complex
-    x0: complex
-    x1: complex
+    c: int
+    d: int
+    x: float
+    delta: float
     lambda1: complex
     lambda2: complex
     alpha: complex
@@ -345,44 +349,8 @@ class RecurrenceSolution:
 
     def evaluate(self, n: int) -> complex:
         if self.repeated:
-            if self.lambda1 == 0:
-                # A = B = 0: everything past x1 vanishes
-                return (self.x0, self.x1)[n] if n <= 1 else 0j
             return (self.alpha + n * self.beta) * self.lambda1 ** n
         return self.alpha * self.lambda1 ** n + self.beta * self.lambda2 ** n
-
-
-def _closed_form(cls, a, b, x0, x1, disc, repeated: bool, **extra):
-    """Roots and coefficients of x_n = a x_{n-1} + b x_{n-2}; the caller picks the branch."""
-    a, b, x0, x1 = complex(a), complex(b), complex(x0), complex(x1)
-    if repeated:
-        lam = a / 2
-        beta = x1 / lam - x0 if lam != 0 else 0j
-        return cls(a, b, x0, x1, lam, lam, x0, beta, repeated=True, **extra)
-    sq = cmath.sqrt(disc)
-    lam1 = (a + sq) / 2
-    lam2 = (a - sq) / 2
-    alpha = (x1 - x0 * lam2) / (lam1 - lam2)
-    return cls(a, b, x0, x1, lam1, lam2, alpha, x0 - alpha, repeated=False, **extra)
-
-
-def solve_linear_recurrence(a, b, x0, x1) -> RecurrenceSolution:
-    a, b = complex(a), complex(b)
-    disc = a * a + 4 * b
-    return _closed_form(RecurrenceSolution, a, b, x0, x1, disc, repeated=disc == 0)
-
-
-@dataclass(frozen=True)
-class CharRoots(RecurrenceSolution):
-    """The p_n recurrence solved at a fixed x = lambda^2.
-
-    a = x - (c-1) - (d-1), b = -(c-1)(d-1), x0 = p_0 = c/(c-1), x1 = p_1 = x - c.
-    """
-
-    c: int
-    d: int
-    x: float
-    delta: float
 
 
 def char_delta(c: int, d: int, x: float) -> float:
@@ -401,10 +369,16 @@ def char_roots(c: int, d: int, x: float) -> CharRoots:
         raise ValueError("need 2 <= c < d")
     x = float(x)
     delta = char_delta(c, d, x)
-    return _closed_form(
-        CharRoots, x - (c - 1) - (d - 1), -(c - 1) * (d - 1), c / (c - 1), x - c,
-        complex(delta), repeated=abs(delta) < REPEATED_ROOT_EPS, c=c, d=d, x=x, delta=delta,
-    )
+    a = complex(x - (c - 1) - (d - 1))
+    p0, p1 = complex(c / (c - 1)), complex(x - c)
+    if abs(delta) < REPEATED_ROOT_EPS:
+        # b != 0, so the repeated root a/2 = +-sqrt((c-1)(d-1)) is never 0
+        lam = a / 2
+        return CharRoots(c, d, x, delta, lam, lam, p0, p1 / lam - p0, repeated=True)
+    sq = cmath.sqrt(complex(delta))
+    lam1, lam2 = (a + sq) / 2, (a - sq) / 2
+    alpha = (p1 - p0 * lam2) / (lam1 - lam2)
+    return CharRoots(c, d, x, delta, lam1, lam2, alpha, p0 - alpha, repeated=False)
 
 
 def interior_coefficient(c: int, d: int, x: float) -> float:
@@ -412,20 +386,20 @@ def interior_coefficient(c: int, d: int, x: float) -> float:
     return 2.0 * math.sqrt(x * (x - c * d) / (char_delta(c, d, x) * (c - 1)))
 
 
-def ell_min(c: int, d: int, xs=None, grid_points: int = 2048) -> int:
-    """Smallest l with max 2|alpha(x)| <= (2 + sqrt(d-1)) l over the sampled interior x.
+def ell_min(c: int, d: int) -> int:
+    """Smallest l with max 2|alpha(x)| <= (2 + sqrt(d-1)) l over the interior x.
 
     The bound is proven only for large enough l; below this threshold checks
-    are informational.  By default x ranges over a deterministic midpoint grid
-    strictly inside the band, so the threshold depends only on (c, d).
-    Clamped to >= 2: the endpoint and zero branches need l >= 2.
+    are informational.  x = lambda^2 ranges over a midpoint grid of
+    ELL_MIN_GRID_POINTS lambda strictly inside the band, so the threshold
+    depends only on (c, d).  Clamped to >= 2: the endpoint and zero branches
+    need l >= 2.
     """
-    if xs is None:
-        lo, hi = spectral.ramanujan_band(c, d)
-        step = (hi - lo) / grid_points
-        xs = ((lo + (j + 0.5) * step) ** 2 for j in range(grid_points))
+    lo, hi = spectral.ramanujan_band(c, d)
+    step = (hi - lo) / ELL_MIN_GRID_POINTS
     mx = 0.0
-    for x in xs:
+    for j in range(ELL_MIN_GRID_POINTS):
+        x = (lo + (j + 0.5) * step) ** 2
         if abs(char_delta(c, d, x)) < REPEATED_ROOT_EPS:
             continue
         mx = max(mx, interior_coefficient(c, d, x))
@@ -556,17 +530,6 @@ def lemma6_sweep(
     )
 
 
-def lemma6_bound_check(
-    c: int, d: int, ell: int, samples: int = 10_000, seed: int = 0, precision: int = 30
-) -> Lemma6Report:
-    """Single-l variant of lemma6_sweep (the report keeps only the final entry)."""
-    full = lemma6_sweep(c, d, ell, samples=samples, seed=seed, precision=precision)
-    return Lemma6Report(
-        c=c, d=d, samples=full.samples, seed=seed, precision=precision,
-        ell_min=full.ell_min, entries=(full.entries[-1],), escalations=full.escalations,
-    )
-
-
 # -- Lemma 8 (upper bound) and Lemma 9 (lower bound) path-count checks -------
 
 
@@ -632,12 +595,11 @@ class Lemma8ExhaustiveReport(Report):
     max_ratio: float
 
 
-def lemma8_exhaustive_check(
-    g: BipartiteMultigraph, ell_max: int = 4, tolerance: float = spectral.DEFAULT_TOLERANCE
-) -> Lemma8ExhaustiveReport:
-    """Run lemma8 over *every* S satisfying the smallness condition, l = 1..ell_max."""
+def lemma8_exhaustive_check(g: BipartiteMultigraph, ell_max: int = 4) -> Lemma8ExhaustiveReport:
+    """Run lemma8 over *every* S satisfying the smallness condition, l = 1..ell_max,
+    on a graph certified at spectral.DEFAULT_TOLERANCE."""
     c, d = g.require_biregular()
-    if not spectral.spectrum(g, tolerance).ramanujan:
+    if not spectral.spectrum(g).ramanujan:
         raise ValueError("graph is not certified bipartite Ramanujan")
     ops = build_nb_operators(g, 2 * ell_max)
     checked, violations, max_ratio = 0, 0, 0.0

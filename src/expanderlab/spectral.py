@@ -21,7 +21,6 @@ from expanderlab.bigraph import (
     BipartiteMultigraph,
     GraphFormatError,
     IndexOutOfRangeError,
-    MalformedHeaderError,
     _loads_edge_list,
 )
 from expanderlab.report import Report

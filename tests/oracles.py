@@ -3,7 +3,7 @@
 The sequential mpmath scans evaluate every value in mpmath, one at a time,
 the way the library did before its float64 screens; the naive enumerator
 recounts every left subset where the library searches for bad sets; direct
-iteration of a linear recurrence checks its closed-form solution; the scan
+iteration of the p_n recurrence checks char_roots' closed form; the scan
 primitives recount N(S), unique neighbours and port sets from the edge list
 and the port lists, the way the library did before its lookup tables; the
 depth-first walker enumerates non-backtracking walks edge by edge, the way the
@@ -145,7 +145,7 @@ def count_nb_paths_undirected(g: BipartiteMultigraph, s: VertexSet, length: int)
 
 def iterate_recurrence(a, b, x0, x1, n: int) -> complex:
     """x_n of x_n = a x_{n-1} + b x_{n-2} by direct iteration; the oracle for
-    the closed-form evaluator nbwalk.solve_linear_recurrence."""
+    the closed form of the p_n recurrence, nbwalk.char_roots."""
     if n == 0:
         return complex(x0)
     prev, cur = complex(x0), complex(x1)

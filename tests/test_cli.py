@@ -116,6 +116,10 @@ def test_poly_command(capsys):
     code, payload = run_cli(capsys, "poly", "--c", "2", "--d", "3", "--n", "2")
     assert code == 0
     assert payload["coefficients"] == ["2", "-5", "1"]
+    # c = d is allowed: the recurrence does not need the two-sided band
+    code, payload = run_cli(capsys, "poly", "--c", "3", "--d", "3", "--n", "2")
+    assert code == 0
+    assert payload["coefficients"] == ["6", "-7", "1"]
 
 
 def test_poly_past_the_degree_cap_exits_7(capsys):
@@ -260,6 +264,10 @@ def test_qhat_command(capsys):
         "prime-powers-only/last-fail": 1489, "prime-powers-only/first-hold": 1493}
     assert payload["precision"] == params.DEFAULT_PRECISION
     assert "interpretation" not in payload and "boundary" not in payload
+    # a rational alpha that is not > 1 is the library's precondition, not a flag error
+    code, payload = run_cli(capsys, "qhat", "--c0", "35", "--alpha", "1/2")
+    assert code == cli.EXIT_PRECONDITION
+    assert payload["error"]["message"] == "need alpha > 1"
 
 
 def test_constants_command(capsys):
@@ -354,6 +362,18 @@ def test_pipeline_counts_must_be_positive(capsys, files, flag):
       for command, rest in ((["nbcount"], ["--len", "2"]), (["boundcheck", "lemma8"], ["--ell", "1"]))
       for value in ("x", "-1", "0,x", "1.5")),
     ("--n", ["poly", "--c", "2", "--d", "3", "--n", "-1"]),
+    # degree flags: poly needs 2 <= c <= d, gadget sample sides and degrees
+    # >= 1, qhat c0 >= 6
+    *(("--c", ["poly", "--c", c, "--d", d, "--n", "2"]) for c, d in (("1", "3"), ("5", "3"))),
+    ("--d", ["poly", "--c", "2", "--d", "x", "--n", "2"]),
+    *((flag, ["gadget", "sample", "--L", "4", "--R", "2", "--c", "1", "--d", "2",
+              "--out", "g.bg", flag, "0"]) for flag in ("--L", "--R", "--c", "--d")),
+    *(("--c0", ["qhat", "--c0", value, "--alpha", "2"]) for value in ("5", "-35", "x")),
+    # --alpha is a rational number > 0, for qhat and pipeline alike
+    *(("--alpha", [*command, "--alpha", value])
+      for command in (["qhat", "--c0", "35"],
+                      ["pipeline", "--big", "c6.bg", "--gadget-params", "2,1,1,2"])
+      for value in ("0", "-2", "1/0", "nan", "inf", "x", "1/2/3")),
 ])
 def test_out_of_range_flag_is_a_flag_error(capsys, flag, argv):
     # each value is refused before any file is read: the error line names the flag
@@ -460,6 +480,32 @@ def test_pipeline_alpha_consistency(capsys, files):
         "--alpha", "2", "--audit-trials", "5",
     )
     assert code == cli.EXIT_STAGE_PRODUCT
+    for alpha in ("1", "1.0", "2/2"):
+        code, payload = run_cli(
+            capsys, "pipeline", "--big", files["c6"], "--gadget", files["k21"],
+            "--alpha", alpha, "--audit-trials", "5",
+        )
+        assert code == cli.EXIT_OK
+        assert payload["stages"][2]["alpha"] == "1"
+
+
+@pytest.mark.parametrize("source,k,attempts", [
+    # K21's two left vertices share its one right vertex, so {0, 1} is bad
+    (["--gadget", "{k21}"], 3, [{}]),
+    # both draws of the (2,1,1,2) gadget are K21 again
+    (["--gadget-params", "2,1,1,2", "--retries", "2"], 2, [{"seed": 0}, {"seed": 1}]),
+])
+def test_pipeline_gadget_short_of_k_exits_11(capsys, files, source, k, attempts):
+    big = files["c4"] if "--gadget" in source else files["c6"]
+    code, payload = run_cli(capsys, "pipeline", "--big", big,
+                            *(a.format(**files) for a in source), "--k", str(k))
+    assert code == cli.EXIT_STAGE_GADGET
+    assert payload["passed"] is False
+    assert [s["stage"] for s in payload["stages"]] == ["spectral", "gadget"]
+    cert = {"target_k": 2, "verified_k": 1, "witness": [0, 1], "subsets_checked": 4,
+            "budget_exhausted": False}
+    assert payload["stages"][-1] == {"stage": "gadget", "ok": False, "required_k": k,
+                                     "attempts": [{**a, **cert} for a in attempts]}
 
 
 def test_pipeline_requires_gadget_source(capsys, files):

@@ -19,13 +19,11 @@ from expanderlab.nbwalk import (
     count_nb_paths,
     count_nb_paths_operator,
     ell_min,
-    lemma6_bound_check,
     lemma6_sweep,
     lemma8_exhaustive_check,
     lemma8_upper_check,
     lemma9_lower_check,
     p_polynomial,
-    solve_linear_recurrence,
     verify_operator_polynomial_identity,
 )
 from expanderlab.spectral import incidence_graph, ramanujan_band, spectrum
@@ -401,54 +399,6 @@ def test_identity_reports_offending_entry():
     assert rep.worst_entry is None
 
 
-# -- linear recurrences --------------------------------------------------------
-
-
-def test_fibonacci():
-    sol = solve_linear_recurrence(1, 1, 0, 1)
-    assert round(sol.evaluate(10).real) == 55
-    assert abs(sol.evaluate(10).imag) < 1e-9
-
-
-def test_repeated_root_constant():
-    sol = solve_linear_recurrence(2, -1, 1, 1)
-    assert sol.repeated
-    for n in range(12):
-        assert sol.evaluate(n) == pytest.approx(1.0)
-
-
-def test_zero_initials():
-    sol = solve_linear_recurrence(3, 2, 0, 0)
-    assert sol.alpha == 0 and sol.beta == 0
-    assert sol.evaluate(17) == 0
-
-
-def test_degenerate_zero_root():
-    sol = solve_linear_recurrence(0, 0, 5, 0)
-    assert sol.evaluate(0) == 5
-    assert sol.evaluate(1) == 0
-    assert sol.evaluate(9) == 0
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    ai=st.integers(min_value=-150, max_value=150),
-    bi=st.integers(min_value=-100, max_value=100),
-    x0i=st.integers(min_value=-300, max_value=300),
-    x1i=st.integers(min_value=-300, max_value=300),
-    n=st.integers(min_value=0, max_value=60),
-)
-def test_closed_form_matches_iteration(ai, bi, x0i, x1i, n):
-    # well-scaled coefficients: the closed form is not contracted to survive
-    # subnormal/overflow extremes of double precision
-    a, b, x0, x1 = ai / 100, bi / 100, x0i / 100, x1i / 100
-    sol = solve_linear_recurrence(a, b, x0, x1)
-    direct = iterate_recurrence(a, b, x0, x1, n)
-    closed = sol.evaluate(n)
-    scale = max(1.0, abs(direct))
-    assert abs(closed - direct) / scale < 1e-9
-
-
 # -- characteristic roots -------------------------------------------------------
 
 
@@ -490,9 +440,11 @@ def test_char_roots_endpoint_uses_repeated_branch():
 
 
 def test_char_roots_evaluate_matches_recurrence():
+    # inside the band, at its endpoints (repeated root) and beyond it, where
+    # the two roots are real and distinct
     for c, d in [(2, 3), (3, 10)]:
         lo, hi = ramanujan_band(c, d)
-        for t in (0.0, lo, hi, (lo + hi) / 2, lo + 0.37):
+        for t in (0.0, lo, hi, (lo + hi) / 2, lo + 0.37, hi + 1, hi + 2.5):
             x = t * t
             cr = char_roots(c, d, x)
             for n in range(0, 12):
@@ -524,7 +476,7 @@ def test_ell_min_values():
 
 
 def test_lemma6_c2_d5_ell10():
-    rep = lemma6_bound_check(2, 5, 10, samples=10_000, seed=0)
+    rep = lemma6_sweep(2, 5, 10, samples=10_000, seed=0)
     entry = rep.entries[-1]
     assert entry.violations == 0
     # l = 10 sits below the proven threshold: reported informationally
@@ -541,7 +493,7 @@ def test_lemma6_asserted_range_clean():
 
 
 def test_lemma6_includes_specials():
-    rep = lemma6_bound_check(2, 3, 5, samples=10, seed=0)
+    rep = lemma6_sweep(2, 3, 5, samples=10, seed=0)
     assert rep.samples == 10
 
 

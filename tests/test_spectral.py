@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from expanderlab.bigraph import BipartiteMultigraph
+from expanderlab.bigraph import BipartiteMultigraph, MalformedHeaderError
 from expanderlab.gadget import sample_biregular
 from expanderlab.spectral import (
     RegularGraph,
-    MalformedHeaderError,
     dumps_regular_graph,
     incidence_graph,
     incidence_spectrum_identity_check,
