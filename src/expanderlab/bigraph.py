@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 
 class GraphFormatError(ValueError):
     """Base class for problems with the on-disk graph formats."""
@@ -30,15 +32,23 @@ class IndexOutOfRangeError(GraphFormatError):
     """An edge endpoint falls outside the declared vertex ranges."""
 
 
+class EnumerationBudgetError(ValueError):
+    """An enumeration, walk length, neighbour table or scan would exceed its fixed budget."""
+
+
 LEFT = "left"
 RIGHT = "right"
+
+# neighbour-table cells with no edge, n * Delta - |E| per side (0 if biregular)
+MAX_TABLE_PADDING = 2 ** 22
 
 
 def _is_normalised(members: tuple) -> bool:
     """True when members are plain ints, nonnegative and strictly increasing.
 
     Such a tuple is already a VertexSet's normal form, and checking costs a
-    fraction of re-sorting it (the pipeline audit passes sorted draws).
+    fraction of re-sorting it (the pipeline audit passes the sorted rows of
+    random_left_sets).
     """
     prev = -1
     for m in members:
@@ -197,10 +207,8 @@ class BipartiteMultigraph:
         Rows are left vertices, columns right vertices.  Entries are Python
         integers (dtype=object), so products of B are exact at any size;
         callers cast it to what their arithmetic needs (float for the
-        spectrum).
+        incidence identity).
         """
-        import numpy as np
-
         B = np.zeros((self.n_left, self.n_right), dtype=object)
         for u, v in self.edges:
             B[u, v] += 1
@@ -222,6 +230,73 @@ def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> dict[int, int]:
         for v, mult in rows[u].items():
             counts[v] = counts.get(v, 0) + mult
     return counts
+
+
+def neighbour_tables(g: BipartiteMultigraph) -> tuple:
+    """(left, right): per side, deg[u] the degree of u and row u of table its
+    neighbours with multiplicity, padded with the other side's size (the index
+    of a walk count's zero row); a last row holds only that index, so a vertex
+    list padded with this side's size gathers no neighbour.  Both the walk
+    recursion (nbwalk) and the audit's edge counts (edge_counts_by_row) read
+    these tables.  Raises EnumerationBudgetError when a side's padding
+    exceeds MAX_TABLE_PADDING."""
+    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
+    tables = []
+    for side, (n, n_other) in enumerate(((g.n_left, g.n_right), (g.n_right, g.n_left))):
+        heads, tails = edges[:, side], edges[:, 1 - side]
+        order = np.argsort(heads, kind="stable")
+        deg = np.bincount(heads, minlength=n)
+        width = max(int(deg.max(initial=0)), 1)
+        if n * width - len(heads) > MAX_TABLE_PADDING:
+            raise EnumerationBudgetError(f"neighbour table padding exceeds {MAX_TABLE_PADDING}")
+        slot = np.arange(len(heads)) - (np.cumsum(deg) - deg)[heads[order]]
+        table = np.full((n + 1, width), n_other, dtype=np.intp)
+        table[heads[order], slot] = tails[order]
+        tables.append((table, deg))
+    return tuple(tables)
+
+
+def random_left_sets(rng, n_left: int, max_size: int, count: int) -> np.ndarray:
+    """`count` random left sets, one per row: each size uniform in
+    1..min(max_size, n_left), then each set of that size equally likely.
+
+    Floyd's algorithm, vectorised over rows: step i of a row of size s draws
+    t uniformly from 0..j with j = n_left - s + i, and adds t, or j when t is
+    already in the row.  Rows are sorted and padded with n_left, the index of
+    a neighbour table's last row (which holds no neighbour).
+    """
+    top = min(max_size, n_left)
+    sizes = rng.integers(1, top + 1, size=count)
+    members = np.full((count, top), n_left, dtype=np.intp)
+    for i in range(top):
+        rows = np.flatnonzero(sizes > i)
+        j = n_left - sizes[rows] + i
+        t = rng.integers(0, j + 1)
+        taken = (members[rows, :i] == t[:, None]).any(axis=1)
+        members[rows, i] = np.where(taken, j, t)
+    members.sort(axis=1)
+    return members
+
+
+def edge_counts_by_row(table: np.ndarray, members: np.ndarray) -> tuple:
+    """_edge_counts_into for every row of `members` at once.
+
+    table is one side's table from neighbour_tables, members a 2-d array of
+    that side's vertices, padded with the table's last row.  Returns the
+    arrays (rows, vertices, counts), ordered by row and then by vertex: row
+    rows[i]'s set has counts[i] edges into vertices[i], one entry for each
+    vertex of its neighbourhood.
+    """
+    pad = int(table[-1, 0])
+    keys = table[members].reshape(len(members), -1)
+    keys.sort(axis=1)
+    keys += (pad + 1) * np.arange(len(members))[:, None]
+    keys = keys.ravel()
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=keys.size)
+    rows, vertices = np.divmod(keys[starts], pad + 1)
+    real = vertices != pad
+    return rows[real], vertices[real], counts[real]
 
 
 def neighbourhood(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:

@@ -31,9 +31,10 @@ integers >= 0; nbcount and boundcheck lemma8 --set comma-separated integers
 >= 0 (or none); --precision an integer >= 15; --tolerance a finite number
 > 0; constants and bounds --eps a finite number >= 0; boundcheck lemma6,
 constants and bounds --c and --d integers with 2 <= c < d, and poly with
-2 <= c <= d; gadget sample --L, --R, --c, --d integers >= 1; qhat --c0 an
-integer >= 6; and qhat and pipeline --alpha a rational number > 0 (an
-integer, a decimal or p/q).
+2 <= c <= d; gadget sample --L, --R, --c, --d and each of the four values of
+pipeline --gadget-params L,R,c,d integers >= 1 (L > R and Lc = Rd stay
+preconditions, exit 5); qhat --c0 an integer >= 6; and qhat and pipeline
+--alpha a rational number > 0 (an integer, a decimal or p/q).
 
 nbcount counts the non-backtracking paths of --len from the left set --set
 whose last left vertex (--mode endpoints-in-S, the default) or every left
@@ -88,11 +89,12 @@ def _parse_vertex_set(text: str) -> bigraph.VertexSet:
 
 
 def _parse_gadget_params(text: str) -> tuple[int, int, int, int]:
-    try:
-        L, R, c, d = (int(t) for t in text.split(","))
-    except ValueError:
+    """Flag type for L,R,c,d: four comma-separated integers >= 1."""
+    values = text.split(",")
+    if len(values) != 4 or not all(t.isdecimal() and int(t) >= 1 for t in values):
         raise argparse.ArgumentTypeError(
-            f"expected four comma-separated integers L,R,c,d, got {text!r}") from None
+            f"expected four comma-separated integers L,R,c,d >= 1, got {text!r}")
+    L, R, c, d = map(int, values)
     return L, R, c, d
 
 
@@ -343,28 +345,7 @@ def cmd_pipeline(args) -> int:
                    "edges": len(rp.product.edges)})
 
     rng = np.random.Generator(np.random.Philox(args.seed))
-    audit = {"trials": 0, "conclusive": 0, "inconclusive": 0, "failures": 0}
-    verified_k = cert.verified_k
-    for _ in range(args.audit_trials):
-        size = int(rng.integers(1, verified_k + 1))
-        size = min(size, big.n_left)
-        members = sorted(rng.choice(big.n_left, size=size, replace=False).tolist())
-        s = bigraph.VertexSet.left(members)
-        audit["trials"] += 1
-        chosen = None
-        for v in bigraph.neighbourhood(big, s):
-            ports = product.port_set(big, v, s)
-            if 1 <= len(ports) <= verified_k:
-                chosen = v
-                break
-        if chosen is None:
-            audit["inconclusive"] += 1
-            continue
-        audit["conclusive"] += 1
-        check = product.inheritance_check(rp, s, chosen)
-        direct = bigraph.unique_neighbours(rp.product, s)
-        if check.vacuous or not check.ok or len(direct) == 0:
-            audit["failures"] += 1
+    audit = product.audit(rp, cert.verified_k, args.audit_trials, rng)
     audit_ok = audit["failures"] == 0 and audit["conclusive"] > 0
     return _pipeline_stop(stages, {"stage": "audit", "ok": audit_ok, **audit},
                           f"pipeline: {'PASS' if audit_ok else 'FAIL'} "

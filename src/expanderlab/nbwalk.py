@@ -4,14 +4,14 @@ The operators A_l^{XY} count non-backtracking paths of length l that start
 on side Y and end on side X.  A path of even length ends on its start side and
 one of odd length on the other, so each start side has one nonzero sequence
 (A_l^{LL}, A_l^{RL} alternating from the left; A_l^{RR}, A_l^{LR} from the
-right).  Every walk count comes from one recursion over neighbour tables
-padded to the largest degree (at most MAX_TABLE_PADDING empty cells a side),
-for any degree sequence: a step to a vertex adds the rows of its neighbours
-and takes back the walks that would re-traverse an edge.  From the identity
-it gives the operators, from 1_S one set's path count (count_nb_paths, for
-nbcount and lemma 8) and from all-ones vectors lemma 9's; it stops at
-MAX_OPERATOR_LEN.  On biregular graphs the even left operators collapse to
-polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
+right).  Every walk count comes from one recursion over bigraph's neighbour
+tables, padded to the largest degree (at most MAX_TABLE_PADDING empty cells
+a side), for any degree sequence: a step to a vertex adds the rows of its
+neighbours and takes back the walks that would re-traverse an edge.  From the
+identity it gives the operators, from 1_S one set's path count
+(count_nb_paths, for nbcount and lemma 8) and from all-ones vectors lemma 9's;
+it stops at MAX_OPERATOR_LEN.  On biregular graphs the even left operators
+collapse to polynomials A_{2n}^{LL} = p_n(B B^T) in the path-count variable,
 and the polynomial values on the Ramanujan band admit the closed-form bound
 |p_l(lambda^2)| <= (2 + sqrt(d-1)) * l * ((c-1)(d-1))^(l/2)
 for l past a computable threshold.  Path counts are exact integers: int64
@@ -40,7 +40,13 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from expanderlab.bigraph import BipartiteMultigraph, VertexSet, _require_left
+from expanderlab.bigraph import (
+    BipartiteMultigraph,
+    EnumerationBudgetError,
+    VertexSet,
+    _require_left,
+    neighbour_tables,
+)
 from expanderlab import spectral
 from expanderlab.report import Report
 
@@ -63,17 +69,10 @@ SCREEN_GUARD = 1e-6
 # int64 arithmetic is exact only for values below this
 INT64_LIMIT = 2 ** 63
 
-# neighbour-table cells with no edge, n * Delta - |E| per side (0 if biregular)
-MAX_TABLE_PADDING = 2 ** 22
-
 # largest p_n built: the exact-rational recurrence costs about n^2 big-number
 # products; on a 2-core Xeon VM p_500 takes 1.4 s for (c, d) = (2, 3) and
 # 1.7 s for (3, 28), and p_800 3.3 s
 MAX_POLY_DEGREE = 500
-
-
-class EnumerationBudgetError(ValueError):
-    """An enumeration, walk length, neighbour table or scan would exceed its fixed budget."""
 
 
 def _exact_dtype(bound: int):
@@ -115,27 +114,6 @@ class NbOperatorSet:
         return np.zeros((size[end], size[start]), dtype=walks[0].dtype)
 
 
-def _neighbour_tables(g: BipartiteMultigraph) -> tuple:
-    """(left, right): per side, deg[u] the degree of u and row u of table its
-    neighbours with multiplicity, padded with the other side's size (the index
-    of a walk count's zero row); a last row holds only that index.  Raises
-    EnumerationBudgetError when a side's padding exceeds MAX_TABLE_PADDING."""
-    edges = np.array(g.edges, dtype=np.intp).reshape(-1, 2)
-    tables = []
-    for side, (n, n_other) in enumerate(((g.n_left, g.n_right), (g.n_right, g.n_left))):
-        heads, tails = edges[:, side], edges[:, 1 - side]
-        order = np.argsort(heads, kind="stable")
-        deg = np.bincount(heads, minlength=n)
-        width = max(int(deg.max(initial=0)), 1)
-        if n * width - len(heads) > MAX_TABLE_PADDING:
-            raise EnumerationBudgetError(f"neighbour table padding exceeds {MAX_TABLE_PADDING}")
-        slot = np.arange(len(heads)) - (np.cumsum(deg) - deg)[heads[order]]
-        table = np.full((n + 1, width), n_other, dtype=np.intp)
-        table[heads[order], slot] = tails[order]
-        tables.append((table, deg))
-    return tuple(tables)
-
-
 def _backtracks(deg: np.ndarray, l: int) -> np.ndarray:
     """k_l: the edges by which a walk of length l - 1 leaves its end vertex
     without backtracking, deg at l = 1 (no last edge yet) and deg - 1 after."""
@@ -146,7 +124,7 @@ def _nb_walk_counts(x0: np.ndarray, tables, max_len: int) -> list:
     """X_0 = x0 .. X_max_len: X_l[w, j] sums x0[v, j] over the NB walks of
     length l from v to w.  x0 holds nonnegative integer weights on the start
     side (the identity, or 1_S) and a last row of zeros that every X_l keeps;
-    tables is (the other side's, the start side's) from _neighbour_tables.
+    tables is (the other side's, the start side's) from bigraph.neighbour_tables.
 
     X_{l+1} = N(X_l) - k_l X_{l-1}: N(X_l) adds, for each end vertex w, the
     rows of X_l at w's neighbours, extending every walk by every edge, its
@@ -185,7 +163,7 @@ def build_nb_operators(g: BipartiteMultigraph, max_len: int) -> NbOperatorSet:
     recursion from the identity, in int64 when max(c, d)^max(max_len, 1) is
     below INT64_LIMIT (so by (c, d) and max_len, never by matrix values)."""
     c, d = g.require_biregular()
-    left, right = _neighbour_tables(g)
+    left, right = neighbour_tables(g)
     from_left, from_right = (
         tuple(x[:-1] for x in _nb_walk_counts(np.eye(n + 1, n, dtype=np.int64), tables, max_len))
         for n, tables in ((g.n_left, (right, left)), (g.n_right, (left, right))))
@@ -230,7 +208,7 @@ def count_nb_paths(
         g = BipartiteMultigraph(g.n_left, g.n_right, tuple(e for e in g.edges if e[0] in inside))
     x0 = np.zeros((g.n_left + 1, 1), dtype=np.int64)
     x0[idx] = 1
-    left, right = _neighbour_tables(g)
+    left, right = neighbour_tables(g)
     walks = _nb_walk_counts(x0, (right, left), length)
     if mode == ALL_IN_S:
         return int(walks[-1].sum())
@@ -651,7 +629,7 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
     |E|): half the walk recursion's count from all-ones vectors on both sides,
     as no path is its own reversal.  The averages are over the whole graph.
     Holds for any bipartite multigraph with average degrees at least 1; past
-    MAX_OPERATOR_LEN or MAX_TABLE_PADDING it raises EnumerationBudgetError.
+    MAX_OPERATOR_LEN or bigraph.MAX_TABLE_PADDING it raises EnumerationBudgetError.
     """
     m = len(g.edges)
     if g.n_left == 0 or g.n_right == 0 or m == 0:
@@ -661,7 +639,7 @@ def lemma9_lower_check(g: BipartiteMultigraph, ell_max: int = 8) -> Lemma9Report
         raise ValueError("average degrees below 1; the lower bound base is undefined")
     base = math.sqrt((dbar_l - 1) * (dbar_r - 1))
     base_sq = Fraction(m - g.n_left, g.n_left) * Fraction(m - g.n_right, g.n_right)
-    left, right = _neighbour_tables(g)
+    left, right = neighbour_tables(g)
     both = [_nb_walk_counts(np.append(np.ones(n, np.int64), 0)[:, None], tables, ell_max)
             for n, tables in ((g.n_left, (right, left)), (g.n_right, (left, right)))]
     entries = []

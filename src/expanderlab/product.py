@@ -9,7 +9,8 @@ vertices), and v is replaced by the gadget's right side.  Product edges are
 with the product right vertex (v,j) stored at index v*|R0| + j, which makes
 file output bit-exact across runs.  Unique neighbours are inherited: if the
 port set of v in S has a unique neighbour j in the gadget, then (v,j) is a
-unique neighbour of S in the product.
+unique neighbour of S in the product.  The pipeline's audit (audit) draws
+random left sets and checks that route on each.
 """
 
 from __future__ import annotations
@@ -17,13 +18,22 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from expanderlab.bigraph import (
     BipartiteMultigraph,
     VertexSet,
     _require_left,
+    edge_counts_by_row,
+    neighbour_tables,
+    random_left_sets,
     unique_neighbours,
 )
 from expanderlab.report import Report
+
+# audit trials drawn and counted at once, so memory stays bounded for any
+# number of trials
+AUDIT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -119,6 +129,48 @@ def inheritance_check(rp: RoutedProduct, s: VertexSet, v: int) -> InheritanceRep
         counterexample=counterexample,
         vacuous=len(uj) == 0,
     )
+
+
+def audit_sets(rp: RoutedProduct, verified_k: int, blocks) -> dict:
+    """Audit the left sets in the rows of each array in `blocks` (rows padded
+    with n_left, as random_left_sets makes them) through the inheritance route.
+
+    A set's chosen v is the smallest right vertex of the big graph with 1 to
+    verified_k edges (ports) into S; a set without one is inconclusive.  Each
+    conclusive set runs one inheritance_check at its v, and fails when that
+    check is vacuous or finds a counterexample, or when S has no unique
+    neighbour in the product.  A block's edge counts into both graphs come
+    from one gather over the padded neighbour tables (edge_counts_by_row).
+    """
+    (big_table, _), _ = neighbour_tables(rp.big)
+    (product_table, _), _ = neighbour_tables(rp.product)
+    totals = dict.fromkeys(("trials", "conclusive", "inconclusive", "failures"), 0)
+    for members in blocks:
+        rows, vertices, counts = edge_counts_by_row(big_table, members)
+        fits = counts <= verified_k
+        conclusive, first = np.unique(rows[fits], return_index=True)
+        chosen = vertices[fits][first]
+        sets = members[conclusive]
+        rows, _, counts = edge_counts_by_row(product_table, sets)
+        direct = np.zeros(len(sets), dtype=bool)
+        direct[rows[counts == 1]] = True
+        sizes = (sets < rp.big.n_left).sum(axis=1)
+        for row, size, v, has_direct in zip(sets.tolist(), sizes.tolist(), chosen.tolist(),
+                                            direct.tolist()):
+            check = inheritance_check(rp, VertexSet.left(row[:size]), v)
+            totals["failures"] += check.vacuous or not check.ok or not has_direct
+        totals["trials"] += len(members)
+        totals["conclusive"] += len(sets)
+        totals["inconclusive"] += len(members) - len(sets)
+    return totals
+
+
+def audit(rp: RoutedProduct, verified_k: int, trials: int, rng) -> dict:
+    """audit_sets on `trials` random left sets of 1 to verified_k vertices
+    (random_left_sets), drawn AUDIT_BLOCK at a time."""
+    return audit_sets(rp, verified_k, (
+        random_left_sets(rng, rp.big.n_left, verified_k, min(AUDIT_BLOCK, trials - start))
+        for start in range(0, trials, AUDIT_BLOCK)))
 
 
 def per_vertex_isomorphism_check(rp: RoutedProduct) -> bool:

@@ -86,11 +86,27 @@ def ramanujan_band(c: int, d: int) -> tuple[float, float]:
     return (math.sqrt(d - 1) - math.sqrt(c - 1), math.sqrt(d - 1) + math.sqrt(c - 1))
 
 
+def gram(g: BipartiteMultigraph) -> np.ndarray:
+    """B B^T of a right-regular graph as a float64 matrix, equal to B @ B.T.
+
+    Entry (x, y) counts the pairs of ports (i, j) of one right vertex v with
+    E(v, i) = x and E(v, j) = y, so the matrix is one unbuffered add of 1.0
+    at each right vertex's port pairs: small integers, exact in float64.  The
+    float64 matrix is the one n_left^2 array (no biadjacency, no int64 copy),
+    and the index arrays are freed on return, before any eigensolve.
+    """
+    ports = np.array(g.right_ports, dtype=np.intp)
+    pairs = (ports[:, :, None] * g.n_left + ports[:, None, :]).ravel()
+    counts = np.zeros(g.n_left ** 2)
+    np.add.at(counts, pairs, 1.0)
+    return counts.reshape(g.n_left, g.n_left)
+
+
 def spectrum(g: BipartiteMultigraph, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
     """Singular values of the biadjacency matrix, classified against the tree spectrum.
 
     The n_left singular values are the square roots of the eigenvalues of
-    B B^T.  Requires a connected biregular input: the trivial/nontrivial split
+    B B^T (gram).  Requires a connected biregular input: the trivial/nontrivial split
     presumes the top singular value sqrt(cd) has multiplicity one.
     """
     c, d = g.require_biregular()
@@ -98,8 +114,7 @@ def spectrum(g: BipartiteMultigraph, tolerance: float = DEFAULT_TOLERANCE) -> Sp
         raise ValueError(f"graph too large for the dense eigensolver contract ({MAX_DENSE_DIM})")
     if not g.is_connected():
         raise ValueError("graph is disconnected; trivial multiplicity would exceed 1")
-    B = g.biadjacency().astype(float)
-    eigs = np.linalg.eigvalsh(B @ B.T)
+    eigs = np.linalg.eigvalsh(gram(g))
     sigmas = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
 
     top = math.sqrt(c * d)

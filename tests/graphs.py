@@ -1,5 +1,7 @@
 """Named graphs and parameter grids shared across the test suite."""
 
+import numpy as np
+
 from expanderlab.bigraph import BipartiteMultigraph
 from expanderlab.spectral import RegularGraph
 
@@ -43,6 +45,30 @@ def hub(n: int) -> BipartiteMultigraph:
     2n edges, but n^2 - n empty cells in a left table padded to degree n."""
     edges = [(0, v) for v in range(n)] + [(i, i - 1) for i in range(1, n + 1)]
     return BipartiteMultigraph(n + 1, n, tuple(edges))
+
+
+def relabelled_complete_incidence(n: int, seed: int) -> BipartiteMultigraph:
+    """K_n's edge-vertex incidence graph after perfbench's relabelling with
+    numpy's default_rng(seed): vertices relabelled, edges reordered and each
+    edge oriented at random, which changes every port E(v, i)."""
+    rng = np.random.default_rng(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    label = rng.permutation(n)
+    flips = rng.integers(0, 2, size=len(pairs))
+    shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+    pairs = [(int(label[v]), int(label[u])) if flip else (int(label[u]), int(label[v]))
+             for (u, v), flip in zip(shuffled, flips)]
+    edges = tuple(x for e, (u, v) in enumerate(pairs) for x in ((e, u), (e, v)))
+    return BipartiteMultigraph(len(pairs), n, edges)
+
+
+def swap_left_endpoints(g: BipartiteMultigraph, a: int, b: int) -> BipartiteMultigraph:
+    """g with the left endpoints of edges a and b exchanged: the same degrees,
+    and another graph when both endpoints of the two edges differ."""
+    edges = list(g.edges)
+    (ua, va), (ub, vb) = edges[a], edges[b]
+    edges[a], edges[b] = (ub, va), (ua, vb)
+    return BipartiteMultigraph(g.n_left, g.n_right, tuple(edges))
 
 
 def triangle() -> RegularGraph:

@@ -8,7 +8,9 @@ primitives recount N(S), unique neighbours and port sets from the edge list
 and the port lists, the way the library did before its lookup tables; the
 depth-first walker enumerates non-backtracking walks edge by edge, the way the
 library counted them before its walk recursion, for one set's path count, the
-left-to-left path matrix and lemma 9's undirected count.
+left-to-left path matrix and lemma 9's undirected count; the per-trial audit
+loop judges one set at a time, the way the pipeline did before its batched
+audit.
 """
 
 import itertools
@@ -19,7 +21,12 @@ import mpmath as mp
 import numpy as np
 
 from expanderlab import nbwalk, params, product
-from expanderlab.bigraph import BipartiteMultigraph, VertexSet
+from expanderlab.bigraph import (
+    BipartiteMultigraph,
+    VertexSet,
+    neighbourhood,
+    unique_neighbours,
+)
 
 
 def qhat_sequential(c0, alpha, scan_margin=params.DEFAULT_SCAN_MARGIN,
@@ -249,3 +256,26 @@ def inheritance_check_scan(rp: product.RoutedProduct, s: VertexSet, v: int):
         counterexample=counterexample,
         vacuous=len(uj) == 0,
     )
+
+
+def audit_loop(rp: product.RoutedProduct, verified_k: int, sets) -> dict:
+    """product.audit_sets one left set at a time: v is the first vertex of the
+    big graph's N(S) with 1 to verified_k ports in S, then one inheritance
+    check at v and a unique-neighbour scan of the product."""
+    audit = {"trials": 0, "conclusive": 0, "inconclusive": 0, "failures": 0}
+    for s in sets:
+        audit["trials"] += 1
+        chosen = None
+        for v in neighbourhood(rp.big, s):
+            if 1 <= len(product.port_set(rp.big, v, s)) <= verified_k:
+                chosen = v
+                break
+        if chosen is None:
+            audit["inconclusive"] += 1
+            continue
+        audit["conclusive"] += 1
+        check = product.inheritance_check(rp, s, chosen)
+        direct = unique_neighbours(rp.product, s)
+        if check.vacuous or not check.ok or len(direct) == 0:
+            audit["failures"] += 1
+    return audit

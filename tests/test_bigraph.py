@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,13 @@ from expanderlab.bigraph import (
     IndexOutOfRangeError,
     MalformedHeaderError,
     TruncatedFileError,
+    _edge_counts_into,
     dumps_graph,
+    edge_counts_by_row,
     loads_graph,
+    neighbour_tables,
     neighbourhood,
+    random_left_sets,
     read_graph,
     unique_neighbours,
     write_graph,
@@ -242,3 +248,68 @@ def test_counting_identity_complete_bipartite():
     s = VertexSet.left([0, 2])
     total = sum(sum(g.left_neighbour_counts[u].values()) for u in s)
     assert total == 2 * len(s)  # c|S| with c = 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_left=st.integers(min_value=1, max_value=6),
+    n_right=st.integers(min_value=1, max_value=6),
+    data=st.data(),
+)
+def test_edge_counts_by_row_match_edge_counts_into(n_left, n_right, data):
+    # multigraphs with isolated vertices and uneven degrees, so table rows are
+    # padded; sets of uneven sizes (the empty one too), each row padded with
+    # n_left
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1)),
+                               max_size=14))
+    g = BipartiteMultigraph(n_left, n_right, tuple(edges))
+    sets = data.draw(st.lists(st.sets(st.integers(0, n_left - 1)), min_size=1, max_size=6))
+    members = np.full((len(sets), max(map(len, sets)) + 1), n_left, dtype=np.intp)
+    for row, s in enumerate(sets):
+        members[row, :len(s)] = sorted(s)
+    (left, _), _ = neighbour_tables(g)
+    rows, vertices, counts = edge_counts_by_row(left, members)
+    for row, s in enumerate(sets):
+        mine = rows == row
+        assert list(vertices[mine]) == sorted(vertices[mine])
+        assert dict(zip(vertices[mine].tolist(), counts[mine].tolist())) == \
+            _edge_counts_into(g, VertexSet.left(s))
+
+
+def test_random_left_sets_are_uniform():
+    # size uniform in 1..6, then each of the C(6, size) sets equally likely:
+    # chi-square over all 63 nonempty subsets of 6 vertices, against 102.17,
+    # the 0.999 quantile of chi-square with 62 degrees of freedom
+    n, draws = 6, 63_000
+    members = random_left_sets(np.random.Generator(np.random.Philox(1)), n, n, draws)
+    assert members.shape == (draws, n)
+    masks = np.where(members < n, 1 << np.minimum(members, n), 0).sum(axis=1)
+    observed = np.bincount(masks, minlength=2 ** n)
+    assert observed[0] == 0
+    expected = np.array([draws / n / math.comb(n, bin(m).count("1")) for m in range(1, 2 ** n)])
+    assert ((observed[1:] - expected) ** 2 / expected).sum() < 102.17
+
+
+def test_random_left_sets_rows_are_sorted_sets_padded_with_n_left():
+    members = random_left_sets(np.random.Generator(np.random.Philox(3)), 10, 4, 500)
+    assert members.shape == (500, 4)
+    for row in members:
+        real = row[row < 10]
+        assert (row[len(real):] == 10).all()
+        assert 1 <= len(real) <= 4 and (np.diff(real) > 0).all()
+
+
+def test_random_left_sets_clip_sizes_at_n_left():
+    members = random_left_sets(np.random.Generator(np.random.Philox(0)), 3, 5, 300)
+    assert members.shape == (300, 3)
+    sizes = (members < 3).sum(axis=1)
+    assert set(sizes.tolist()) == {1, 2, 3}
+    assert (members[sizes == 3] == [0, 1, 2]).all()
+
+
+def test_random_left_sets_repeat_for_a_seed():
+    draws = [random_left_sets(np.random.Generator(np.random.Philox(7)), 40, 5, 2000).tobytes()
+             for _ in range(2)]
+    assert draws[0] == draws[1]
+    other = random_left_sets(np.random.Generator(np.random.Philox(8)), 40, 5, 2000)
+    assert other.tobytes() != draws[0]

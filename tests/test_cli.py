@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from expanderlab import cli, nbwalk, params
+from expanderlab import cli, nbwalk, params, product
 from expanderlab.bigraph import VertexSet, write_graph
 from expanderlab.gadget import sample_biregular
 from expanderlab.spectral import incidence_graph, write_regular_graph
 
-from graphs import c4, complete_graph, cycle, hub, k21, k32, petersen
+from graphs import c4, complete_graph, cycle, hub, k21, k32, petersen, swap_left_endpoints
 from oracles import count_nb_paths_bruteforce
 
 
@@ -310,7 +311,8 @@ def test_pipeline_port_mismatch(capsys, files):
     assert payload["stages"][-1]["reason"] == "port-count mismatch: gadget left 2 != d 3"
 
 
-@pytest.mark.parametrize("value", ["1,2", "a,b,c,d"])
+@pytest.mark.parametrize("value", ["1,2", "a,b,c,d", "2,-1,1,2", "2,1,0,2", "0,1,1,2",
+                                   "2,1,1,2,3", "2,1,1,+2"])
 def test_pipeline_gadget_params_flag_error(capsys, files, value):
     # rejected while parsing flags, before the spectral stage runs
     with pytest.raises(SystemExit) as exc:
@@ -319,6 +321,47 @@ def test_pipeline_gadget_params_flag_error(capsys, files, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--gadget-params" in captured.err
+
+
+@pytest.mark.parametrize("value", ["2,2,1,1", "2,3,3,2"])
+def test_pipeline_gadget_params_l_not_above_r_is_a_precondition(capsys, files, value):
+    # four values >= 1 parse; L > R is the gadget's own precondition
+    code, payload = run_cli(capsys, "pipeline", "--big", files["c6"], "--gadget-params", value)
+    assert code == cli.EXIT_PRECONDITION
+    assert payload["error"]["message"] == "need L > R >= 1"
+
+
+def test_pipeline_audit_is_byte_identical_past_one_block(capsys, files):
+    argv = ["--seed", "3", "pipeline", "--big", files["c6"], "--gadget", files["k21"],
+            "--audit-trials", str(product.AUDIT_BLOCK + 6)]
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == cli.EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    audit = json.loads(outputs[0])["stages"][-1]
+    assert audit == {"stage": "audit", "ok": True, "trials": product.AUDIT_BLOCK + 6,
+                     "conclusive": product.AUDIT_BLOCK + 6, "inconclusive": 0, "failures": 0}
+
+
+def test_pipeline_audit_failures_exit_13(capsys, files, monkeypatch):
+    # a routed product with two edges' left endpoints swapped: the audit finds
+    # sets whose inherited unique neighbour is not one in the product
+    routed_product = product.routed_product
+
+    def broken(big, small):
+        rp = routed_product(big, small)
+        (u0, v0), *rest = rp.product.edges
+        b = next(i for i, (u, v) in enumerate(rest, 1) if u != u0 and v != v0)
+        return dataclasses.replace(rp, product=swap_left_endpoints(rp.product, 0, b))
+
+    monkeypatch.setattr(product, "routed_product", broken)
+    code, payload = run_cli(capsys, "pipeline", "--big", files["c6"], "--gadget", files["k21"],
+                            "--audit-trials", "50")
+    assert code == cli.EXIT_STAGE_AUDIT
+    audit = payload["stages"][-1]
+    assert payload["passed"] is False and audit["ok"] is False
+    assert audit["failures"] > 0 and audit["trials"] == 50
 
 
 @pytest.mark.parametrize("flag", ["--k", "--retries", "--audit-trials"])

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from expanderlab import bigraph, nbwalk
 from expanderlab.bigraph import BipartiteMultigraph, VertexSet
 from expanderlab.gadget import sample_biregular
-from expanderlab import nbwalk
 from expanderlab.nbwalk import (
     ALL_IN_S,
     ENDPOINTS_IN_S,
@@ -321,7 +321,7 @@ def test_walk_counts_match_enumeration_on_random_multigraphs():
         g = random_multigraph(rng, max_side=4, max_edges=5)
         members = rng.choice(g.n_left, size=int(rng.integers(1, g.n_left + 1)), replace=False)
         s = VertexSet.left(members.tolist())
-        left, right = nbwalk._neighbour_tables(g)
+        left, right = bigraph.neighbour_tables(g)
         x0 = np.zeros((g.n_left + 1, 1), np.int64)  # the last row is the zero row
         x0[list(s.members)] = 1
         walks = nbwalk._nb_walk_counts(x0, (right, left), 8)
@@ -641,10 +641,10 @@ def test_lemma9_table_padding_cap(monkeypatch):
         lemma9_lower_check(hub(50_000))
     g = hub(30)
     full = VertexSet.left(range(g.n_left))
-    monkeypatch.setattr(nbwalk, "MAX_TABLE_PADDING", 30 * 29)
+    monkeypatch.setattr(bigraph, "MAX_TABLE_PADDING", 30 * 29)
     assert [e.count for e in lemma9_lower_check(g, ell_max=6).entries] == \
         [count_nb_paths_undirected(g, full, length) for length in range(1, 7)]
-    monkeypatch.setattr(nbwalk, "MAX_TABLE_PADDING", 30 * 29 - 1)
+    monkeypatch.setattr(bigraph, "MAX_TABLE_PADDING", 30 * 29 - 1)
     with pytest.raises(EnumerationBudgetError):
         lemma9_lower_check(g, ell_max=6)
 

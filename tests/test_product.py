@@ -1,12 +1,22 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from expanderlab.bigraph import BipartiteMultigraph, VertexSet, neighbourhood, unique_neighbours
-from expanderlab.gadget import sample_biregular
+from expanderlab.bigraph import (
+    BipartiteMultigraph,
+    VertexSet,
+    neighbourhood,
+    random_left_sets,
+    unique_neighbours,
+)
+from expanderlab.gadget import sample_biregular, verify_unique_neighbour_upto
 from expanderlab.product import (
+    AUDIT_BLOCK,
     RoutedProduct,
+    audit,
+    audit_sets,
     export_parity_check,
     inheritance_check,
     per_vertex_isomorphism_check,
@@ -14,8 +24,15 @@ from expanderlab.product import (
     routed_product,
 )
 
-from graphs import c4, k21, k32, random_multigraph
-from oracles import inheritance_check_scan, port_set_scan
+from graphs import (
+    c4,
+    k21,
+    k32,
+    random_multigraph,
+    relabelled_complete_incidence,
+    swap_left_endpoints,
+)
+from oracles import audit_loop, inheritance_check_scan, port_set_scan
 
 
 def test_c4_routed_through_k21_is_c4():
@@ -203,8 +220,6 @@ def test_inheritance_randomized_trials():
 def test_end_to_end_unique_neighbour_via_gadget():
     # whenever some block's port set is nonempty and within the gadget's
     # verified size, the product set must have a unique neighbour
-    from expanderlab.gadget import verify_unique_neighbour_upto
-
     big = sample_biregular(6, 3, 2, 4, seed=8)
     gadget = sample_biregular(4, 2, 2, 4, seed=1)
     cert = verify_unique_neighbour_upto(gadget, 1)
@@ -229,3 +244,72 @@ def test_parity_check_export(tmp_path):
     path = tmp_path / "pcm.txt"
     export_parity_check(g, path)
     assert path.read_text() == "0 0 2\n0 1 1\n1 1 1\n1 2 1\n"
+
+
+def _audits_agree(rp, verified_k, members) -> dict:
+    """audit_sets on the rows of members, after checking it against the loop oracle."""
+    sets = [VertexSet.left(row[row < rp.big.n_left].tolist()) for row in members]
+    batched = audit_sets(rp, verified_k, [members])
+    assert batched == audit_loop(rp, verified_k, sets)
+    return batched
+
+
+def test_audit_matches_the_loop_oracle_on_incidence_products():
+    # K_n incidence graphs (relabelled) through gadgets with n - 1 ports, at
+    # the gadget's verified size and one above it (where vacuous checks fail)
+    gadgets = {5: [(4, 2, 1, 2), (4, 2, 2, 4), (4, 3, 3, 4)], 7: [(6, 3, 2, 4), (6, 4, 2, 3)]}
+    rng = np.random.Generator(np.random.Philox(11))
+    failures = 0
+    for n, params in gadgets.items():
+        for seed, gp in enumerate(params):
+            rp = routed_product(relabelled_complete_incidence(n, seed),
+                                sample_biregular(*gp, seed=seed))
+            verified_k = verify_unique_neighbour_upto(rp.gadget, gp[0]).verified_k
+            for k in (verified_k, verified_k + 1):
+                members = random_left_sets(rng, rp.big.n_left, k, 150)
+                counts = _audits_agree(rp, k, members)
+                assert counts["conclusive"] == 150  # a simple big graph: every v fits
+                failures += counts["failures"]
+                if k == verified_k:
+                    assert counts["failures"] == 0
+    assert failures > 0
+
+
+def test_audit_matches_the_loop_oracle_on_multigraphs():
+    # configuration-model draws have multi-edges, so a set can meet every
+    # neighbour more than verified_k times: some trials are inconclusive
+    rng = np.random.Generator(np.random.Philox(12))
+    inconclusive = 0
+    for big, gadget in _random_pairs(20):
+        rp = routed_product(big, gadget)
+        for k in (1, 2):
+            members = random_left_sets(rng, big.n_left, k, 60)
+            inconclusive += _audits_agree(rp, k, members)["inconclusive"]
+    assert inconclusive > 0
+
+
+def test_audit_matches_the_loop_oracle_on_a_broken_product():
+    # two product edges with their left endpoints swapped break inheritance
+    rng = np.random.Generator(np.random.Philox(13))
+    failures = 0
+    for seed in range(6):
+        rp = routed_product(relabelled_complete_incidence(5, seed),
+                            sample_biregular(4, 2, 1, 2, seed=seed))
+        a, b = (int(x) for x in rng.choice(len(rp.product.edges), size=2, replace=False))
+        broken = dataclasses.replace(rp, product=swap_left_endpoints(rp.product, a, b))
+        members = random_left_sets(rng, rp.big.n_left, 2, 200)
+        failures += _audits_agree(broken, 1, members)["failures"]
+    assert failures > 0
+
+
+def test_audit_past_one_block():
+    # a full block and a part block, drawn from the one generator in turn
+    rp = routed_product(relabelled_complete_incidence(5, 0), sample_biregular(4, 2, 1, 2, seed=0))
+    trials = AUDIT_BLOCK + 7
+    counts = audit(rp, 2, trials, np.random.Generator(np.random.Philox(4)))
+    rng = np.random.Generator(np.random.Philox(4))
+    rows = [row for size in (AUDIT_BLOCK, 7)
+            for row in random_left_sets(rng, rp.big.n_left, 2, size)]
+    assert counts == audit_loop(rp, 2, [VertexSet.left(row[row < rp.big.n_left].tolist())
+                                        for row in rows])
+    assert counts["trials"] == trials
