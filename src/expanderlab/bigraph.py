@@ -288,7 +288,7 @@ def edge_counts_by_row(table: np.ndarray, members: np.ndarray) -> tuple:
     vertex of its neighbourhood.
     """
     pad = int(table[-1, 0])
-    keys = table[members].reshape(len(members), -1)
+    keys = table[members].reshape(len(members), members.shape[1] * table.shape[1])
     keys.sort(axis=1)
     keys += (pad + 1) * np.arange(len(members))[:, None]
     keys = keys.ravel()

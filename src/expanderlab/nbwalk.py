@@ -5,8 +5,8 @@ on side Y and end on side X.  A path of even length ends on its start side and
 one of odd length on the other, so each start side has one nonzero sequence
 (A_l^{LL}, A_l^{RL} alternating from the left; A_l^{RR}, A_l^{LR} from the
 right).  Every walk count comes from one recursion over bigraph's neighbour
-tables, padded to the largest degree (at most MAX_TABLE_PADDING empty cells
-a side), for any degree sequence: a step to a vertex adds the rows of its
+tables, padded to the largest degree (at most bigraph.MAX_TABLE_PADDING empty
+cells a side), for any degree sequence: a step to a vertex adds the rows of its
 neighbours and takes back the walks that would re-traverse an edge.  From the
 identity it gives the operators, from 1_S one set's path count
 (count_nb_paths, for nbcount and lemma 8) and from all-ones vectors lemma 9's;

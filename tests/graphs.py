@@ -1,5 +1,9 @@
 """Named graphs and parameter grids shared across the test suite."""
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from expanderlab.bigraph import BipartiteMultigraph
@@ -48,18 +52,22 @@ def hub(n: int) -> BipartiteMultigraph:
 
 
 def relabelled_complete_incidence(n: int, seed: int) -> BipartiteMultigraph:
-    """K_n's edge-vertex incidence graph after perfbench's relabelling with
-    numpy's default_rng(seed): vertices relabelled, edges reordered and each
-    edge oriented at random, which changes every port E(v, i)."""
-    rng = np.random.default_rng(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    label = rng.permutation(n)
-    flips = rng.integers(0, 2, size=len(pairs))
-    shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
-    pairs = [(int(label[v]), int(label[u])) if flip else (int(label[u]), int(label[v]))
-             for (u, v), flip in zip(shuffled, flips)]
-    edges = tuple(x for e, (u, v) in enumerate(pairs) for x in ((e, u), (e, v)))
-    return BipartiteMultigraph(len(pairs), n, edges)
+    """K_n's edge-vertex incidence graph as perfbench relabels it with numpy's
+    default_rng(seed): vertices relabelled, edges reordered and each edge
+    oriented at random, which changes every port E(v, i).  Built by perfbench's
+    own function, so the tests cover the benchmark's graphs."""
+    n_left, n_right, edges = _workloads()._complete_graph_incidence(n, np.random.default_rng(seed))
+    return BipartiteMultigraph(n_left, n_right, tuple(edges))
+
+
+@functools.cache
+def _workloads():
+    """perfbench/workloads.py, loaded from its file (perfbench is no package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def swap_left_endpoints(g: BipartiteMultigraph, a: int, b: int) -> BipartiteMultigraph:

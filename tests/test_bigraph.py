@@ -276,6 +276,14 @@ def test_edge_counts_by_row_match_edge_counts_into(n_left, n_right, data):
             _edge_counts_into(g, VertexSet.left(s))
 
 
+def test_edge_counts_by_row_of_no_rows():
+    # a block where no set is conclusive leaves nothing to count in the product
+    (left, _), _ = neighbour_tables(double_edge())
+    for width in (1, 3):
+        counts = edge_counts_by_row(left, np.empty((0, width), dtype=np.intp))
+        assert [a.shape for a in counts] == [(0,), (0,), (0,)]
+
+
 def test_random_left_sets_are_uniform():
     # size uniform in 1..6, then each of the C(6, size) sets equally likely:
     # chi-square over all 63 nonempty subsets of 6 vertices, against 102.17,

@@ -12,7 +12,17 @@ from expanderlab.bigraph import VertexSet, write_graph
 from expanderlab.gadget import sample_biregular
 from expanderlab.spectral import incidence_graph, write_regular_graph
 
-from graphs import c4, complete_graph, cycle, hub, k21, k32, petersen, swap_left_endpoints
+from graphs import (
+    c4,
+    complete_graph,
+    cycle,
+    double_edge,
+    hub,
+    k21,
+    k32,
+    petersen,
+    swap_left_endpoints,
+)
 from oracles import count_nb_paths_bruteforce
 
 
@@ -26,7 +36,8 @@ def run_cli(capsys, *argv):
 @pytest.fixture()
 def files(tmp_path):
     paths = {}
-    for name, g in [("c4", c4()), ("c6", cycle(3)), ("k32", k32()), ("k21", k21())]:
+    for name, g in [("c4", c4()), ("c6", cycle(3)), ("k32", k32()), ("k21", k21()),
+                    ("double", double_edge())]:
         p = tmp_path / f"{name}.bg"
         write_graph(g, p)
         paths[name] = str(p)
@@ -362,6 +373,18 @@ def test_pipeline_audit_failures_exit_13(capsys, files, monkeypatch):
     audit = payload["stages"][-1]
     assert payload["passed"] is False and audit["ok"] is False
     assert audit["failures"] > 0 and audit["trials"] == 50
+
+
+@pytest.mark.parametrize("trials", [1, 50, product.AUDIT_BLOCK + 1])
+def test_pipeline_audit_without_conclusive_trials_exits_13(capsys, files, trials):
+    # the doubled edge passes the spectral stage (c = d = 2) but every set
+    # {0} has 2 ports at its one right vertex, more than k = 1
+    code, payload = run_cli(capsys, "pipeline", "--big", files["double"], "--gadget", files["k21"],
+                            "--k", "1", "--audit-trials", str(trials))
+    assert code == cli.EXIT_STAGE_AUDIT
+    assert payload["passed"] is False
+    assert payload["stages"][-1] == {"stage": "audit", "ok": False, "trials": trials,
+                                     "conclusive": 0, "inconclusive": trials, "failures": 0}
 
 
 @pytest.mark.parametrize("flag", ["--k", "--retries", "--audit-trials"])

@@ -26,6 +26,7 @@ from expanderlab.product import (
 
 from graphs import (
     c4,
+    double_edge,
     k21,
     k32,
     random_multigraph,
@@ -286,6 +287,12 @@ def test_audit_matches_the_loop_oracle_on_multigraphs():
             members = random_left_sets(rng, big.n_left, k, 60)
             inconclusive += _audits_agree(rp, k, members)["inconclusive"]
     assert inconclusive > 0
+    # a double edge meets its one right vertex twice: a block of inconclusive
+    # trials only, with no set left to count in the product
+    rp = routed_product(double_edge(), k21())
+    for count in (1, 60):
+        counts = _audits_agree(rp, 1, random_left_sets(rng, 1, 1, count))
+        assert counts == {"trials": count, "conclusive": 0, "inconclusive": count, "failures": 0}
 
 
 def test_audit_matches_the_loop_oracle_on_a_broken_product():
