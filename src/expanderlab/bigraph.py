@@ -120,50 +120,32 @@ class BipartiteMultigraph:
     # -- derived views (computed once; the graph is immutable) --
 
     @cached_property
-    def left_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n_left
-        for u, _ in self.edges:
-            deg[u] += 1
-        return tuple(deg)
+    def _ports(self) -> tuple:
+        left: list[list[int]] = [[] for _ in range(self.n_left)]
+        right: list[list[int]] = [[] for _ in range(self.n_right)]
+        for u, v in self.edges:
+            left[u].append(v)
+            right[v].append(u)
+        return tuple(map(tuple, left)), tuple(map(tuple, right))
 
-    @cached_property
-    def right_degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n_right
-        for _, v in self.edges:
-            deg[v] += 1
-        return tuple(deg)
+    @property
+    def left_ports(self) -> tuple[tuple[int, ...], ...]:
+        """For each left vertex u, its right neighbours in edge order (repeated
+        for a multi-edge)."""
+        return self._ports[0]
 
-    @cached_property
+    @property
     def right_ports(self) -> tuple[tuple[int, ...], ...]:
         """For each right vertex v, the ordered left endpoints E(v, 0), E(v, 1), ..."""
-        ports: list[list[int]] = [[] for _ in range(self.n_right)]
-        for u, v in self.edges:
-            ports[v].append(u)
-        return tuple(tuple(p) for p in ports)
+        return self._ports[1]
 
-    @cached_property
-    def right_port_indices(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        """For each right vertex v, a map u -> the ports i with E(v, i) = u, ascending.
+    @property
+    def left_degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.left_ports))
 
-        The inverse of right_ports: a left vertex joined to v by a multi-edge
-        holds several ports, an absent one none.
-        """
-        table = []
-        for ports in self.right_ports:
-            slots: dict[int, list[int]] = {}
-            for i, u in enumerate(ports):
-                slots.setdefault(u, []).append(i)
-            table.append({u: tuple(i) for u, i in slots.items()})
-        return tuple(table)
-
-    @cached_property
-    def left_neighbour_counts(self) -> tuple[dict[int, int], ...]:
-        """For each left vertex, a map right-vertex -> edge multiplicity."""
-        counts: list[dict[int, int]] = [{} for _ in range(self.n_left)]
-        for u, v in self.edges:
-            row = counts[u]
-            row[v] = row.get(v, 0) + 1
-        return tuple(counts)
+    @property
+    def right_degrees(self) -> tuple[int, ...]:
+        return tuple(map(len, self.right_ports))
 
     def biregularity(self) -> tuple[int, int] | None:
         """(c, d) when every left degree is c and every right degree is d, else None."""
@@ -182,37 +164,27 @@ class BipartiteMultigraph:
         return bireg
 
     def is_connected(self) -> bool:
-        """True when the underlying bipartite graph is connected (ignoring multiplicity)."""
+        """True when the underlying bipartite graph is connected (ignoring multiplicity).
+
+        Vertices are numbered left first: right vertex v is n_left + v.
+        """
         n = self.n_left + self.n_right
         if n == 0:
             return True
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in set(self.edges):
-            adj[u].append(self.n_left + v)
-            adj[self.n_left + v].append(u)
         seen = [False] * n
         stack = [0]
         seen[0] = True
         while stack:
             w = stack.pop()
-            for x in adj[w]:
+            if w < self.n_left:
+                neighbours = [self.n_left + v for v in self.left_ports[w]]
+            else:
+                neighbours = self.right_ports[w - self.n_left]
+            for x in neighbours:
                 if not seen[x]:
                     seen[x] = True
                     stack.append(x)
         return all(seen)
-
-    def biadjacency(self):
-        """Dense integer biadjacency matrix B with B[u, v] = multiplicity of (u, v).
-
-        Rows are left vertices, columns right vertices.  Entries are Python
-        integers (dtype=object), so products of B are exact at any size;
-        callers cast it to what their arithmetic needs (float for the
-        incidence identity).
-        """
-        B = np.zeros((self.n_left, self.n_right), dtype=object)
-        for u, v in self.edges:
-            B[u, v] += 1
-        return B
 
 
 def _require_left(s: VertexSet, n_left: int):
@@ -225,10 +197,10 @@ def _require_left(s: VertexSet, n_left: int):
 def _edge_counts_into(g: BipartiteMultigraph, s: VertexSet) -> dict[int, int]:
     """Right vertex -> number of edges into S, for each right vertex of N(S)."""
     counts: dict[int, int] = {}
-    rows = g.left_neighbour_counts
+    ports = g.left_ports
     for u in s.members:
-        for v, mult in rows[u].items():
-            counts[v] = counts.get(v, 0) + mult
+        for v in ports[u]:
+            counts[v] = counts.get(v, 0) + 1
     return counts
 
 

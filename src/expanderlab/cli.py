@@ -21,8 +21,11 @@ Pipeline stage failures use distinct codes: 10 spectral certification,
 Result payloads are the reports' to_dict() (expanderlab.report): every field
 by name, Fractions as "p/q" strings.  Each value has one flag: --seed,
 --budget, --precision and --tolerance go before the subcommand (commands
-that do not use them ignore them), and after it a subcommand accepts only
-the flags it reads; any other exits 2.  Numeric flags are
+that do not use them ignore them: --precision is read by qhat and boundcheck
+lemma6, --budget by gadget verify and pipeline, --tolerance by spectrum,
+incidence, pipeline and boundcheck lemma8, --seed by gadget sample, pipeline
+and boundcheck lemma6), and after it a subcommand accepts only the flags it
+reads; any other exits 2.  Numeric flags are
 range-checked while parsing, so a value outside the range exits 2 with
 nothing on stdout: pipeline --k, --retries, --audit-trials, qhat --margin
 and boundcheck --samples, --ell, --ell-max take integers >= 1; --seed,
@@ -147,8 +150,10 @@ def cmd_spectrum(args) -> int:
 def cmd_incidence(args) -> int:
     g = spectral.read_regular_graph(args.infile)
     inc = spectral.incidence_graph(g)
-    identity = spectral.incidence_spectrum_identity_check(g)
+    # spectrum first: its size and connectivity checks refuse a graph before
+    # the identity check's two eigensolves
     report = spectral.spectrum(inc, tolerance=args.tolerance)
+    identity = spectral.incidence_spectrum_identity_check(g)
     if args.out:
         bigraph.write_graph(inc, args.out)
     _emit(

@@ -17,6 +17,7 @@ it visits a few nodes per start vertex rather than every subset.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ def verify_unique_neighbour_upto(
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     k = min(k, g.n_left)
-    hits = [sorted(c.items()) for c in g.left_neighbour_counts]
+    hits = [sorted(Counter(p).items()) for p in g.left_ports]
     ports = [sorted(set(p)) for p in g.right_ports]
     c_max = max(g.left_degrees, default=0)
     counts = [0] * g.n_right

@@ -291,8 +291,8 @@ def verify_operator_polynomial_identity(g: BipartiteMultigraph, n: int) -> PolyI
         raise ValueError("n must be in [1, 6]")
     c, d = g.require_biregular()
     ops = build_nb_operators(g, 2 * n)
-    B = g.biadjacency()
-    X = B @ B.T
+    # B B^T holds small integers, exact in float64; object entries keep p_n exact
+    X = spectral.gram(g.right_ports, g.n_left).astype(np.int64).astype(object)
     P = p_polynomial(c, d, n).eval_matrix(X)
     A = ops.operator("LL", 2 * n)
     worst, worst_entry = Fraction(0), None

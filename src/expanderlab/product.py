@@ -68,14 +68,12 @@ def routed_product(big: BipartiteMultigraph, gadget: BipartiteMultigraph) -> Rou
             f"big graph right-regularity is {d}"
         )
     r0 = gadget.n_right
-    ports = big.right_ports
-    edges = []
-    for v in range(big.n_right):
-        pv = ports[v]
-        base = v * r0
-        for i, j in gadget.edges:
-            edges.append((pv[i], base + j))
-    product = BipartiteMultigraph(big.n_left, big.n_right * r0, tuple(edges))
+    # row v holds v's block: one edge per gadget edge (i, j), in gadget order
+    gadget_i, gadget_j = np.array(gadget.edges, dtype=np.intp).reshape(-1, 2).T
+    lefts = np.array(big.right_ports, dtype=np.intp)[:, gadget_i]
+    rights = r0 * np.arange(big.n_right)[:, None] + gadget_j
+    edges = tuple(zip(lefts.ravel().tolist(), rights.ravel().tolist()))
+    product = BipartiteMultigraph(big.n_left, big.n_right * r0, edges)
     return RoutedProduct(big=big, gadget=gadget, product=product, c=c, d=d, c0=c0, d0=d0)
 
 
@@ -84,8 +82,8 @@ def port_set(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
     _require_left(s, big.n_left)
     if not 0 <= v < big.n_right:
         raise ValueError(f"right vertex {v} out of range")
-    slots = big.right_port_indices[v]
-    return VertexSet.left(sorted([i for u in s.members for i in slots.get(u, ())]))
+    sset = set(s.members)
+    return VertexSet.left([i for i, u in enumerate(big.right_ports[v]) if u in sset])
 
 
 @dataclass(frozen=True)

@@ -86,20 +86,22 @@ def ramanujan_band(c: int, d: int) -> tuple[float, float]:
     return (math.sqrt(d - 1) - math.sqrt(c - 1), math.sqrt(d - 1) + math.sqrt(c - 1))
 
 
-def gram(g: BipartiteMultigraph) -> np.ndarray:
-    """B B^T of a right-regular graph as a float64 matrix, equal to B @ B.T.
+def gram(ports, n: int) -> np.ndarray:
+    """The n x n Gram matrix of one side's equal-length port lists, as float64.
 
-    Entry (x, y) counts the pairs of ports (i, j) of one right vertex v with
-    E(v, i) = x and E(v, j) = y, so the matrix is one unbuffered add of 1.0
-    at each right vertex's port pairs: small integers, exact in float64.  The
-    float64 matrix is the one n_left^2 array (no biadjacency, no int64 copy),
-    and the index arrays are freed on return, before any eigensolve.
+    Entry (x, y) counts the pairs of ports (i, j) of one vertex's list p with
+    p[i] = x and p[j] = y, so gram(g.right_ports, g.n_left) is B B^T
+    and gram(g.left_ports, g.n_right) is B^T B, B the biadjacency matrix.
+    The matrix is one unbuffered add of 1.0 at each vertex's port pairs:
+    small integers, exact in float64.  It is the one n^2 array (no
+    biadjacency, no int64 copy), and the index arrays are freed on return,
+    before any eigensolve.
     """
-    ports = np.array(g.right_ports, dtype=np.intp)
-    pairs = (ports[:, :, None] * g.n_left + ports[:, None, :]).ravel()
-    counts = np.zeros(g.n_left ** 2)
+    ports = np.array(ports, dtype=np.intp)
+    pairs = (ports[:, :, None] * n + ports[:, None, :]).ravel()
+    counts = np.zeros(n ** 2)
     np.add.at(counts, pairs, 1.0)
-    return counts.reshape(g.n_left, g.n_left)
+    return counts.reshape(n, n)
 
 
 def spectrum(g: BipartiteMultigraph, tolerance: float = DEFAULT_TOLERANCE) -> SpectrumReport:
@@ -114,7 +116,7 @@ def spectrum(g: BipartiteMultigraph, tolerance: float = DEFAULT_TOLERANCE) -> Sp
         raise ValueError(f"graph too large for the dense eigensolver contract ({MAX_DENSE_DIM})")
     if not g.is_connected():
         raise ValueError("graph is disconnected; trivial multiplicity would exceed 1")
-    eigs = np.linalg.eigvalsh(gram(g))
+    eigs = np.linalg.eigvalsh(gram(g.right_ports, g.n_left))
     sigmas = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
 
     top = math.sqrt(c * d)
@@ -174,10 +176,9 @@ def incidence_spectrum_identity_check(g: RegularGraph) -> IncidenceIdentityRepor
     measures the numerical path, not the combinatorial identity.
     """
     inc = incidence_graph(g)
-    B = inc.biadjacency().astype(float)
     # B^T B is n x n; the remaining |E| - n squared singular values of B are zeros
     # forced by rank, not covered by the identity.
-    sq = np.sort(np.linalg.eigvalsh(B.T @ B))
+    sq = np.sort(np.linalg.eigvalsh(gram(inc.left_ports, inc.n_right)))
     shifted = np.sort(g.d + np.linalg.eigvalsh(g.adjacency))
     residual = float(np.max(np.abs(sq - shifted)))
     return IncidenceIdentityReport(

@@ -91,6 +91,12 @@ def complete_graph(n: int) -> RegularGraph:
     return RegularGraph(n, n - 1, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
+def digon() -> RegularGraph:
+    """Two vertices joined by a double edge: the connected 2-regular multigraph
+    with a parallel edge."""
+    return RegularGraph(2, 2, ((0, 1), (0, 1)))
+
+
 def petersen() -> RegularGraph:
     return RegularGraph(10, 3, (
         (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),

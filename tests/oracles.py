@@ -5,7 +5,8 @@ the way the library did before its float64 screens; the naive enumerator
 recounts every left subset where the library searches for bad sets; direct
 iteration of the p_n recurrence checks char_roots' closed form; the scan
 primitives recount N(S), unique neighbours and port sets from the edge list
-and the port lists, the way the library did before its lookup tables; the
+alone, the way the library did before its lookup tables, and the routed
+product and the exact biadjacency matrix are built edge by edge from it; the
 depth-first walker enumerates non-backtracking walks edge by edge, the way the
 library counted them before its walk recursion, for one set's path count, the
 left-to-left path matrix and lemma 9's undirected count; the per-trial audit
@@ -199,7 +200,9 @@ def lemma6_sweep_mp(c, d, ell_max, samples, seed, precision=30):
 
 def _verify_naive(g: BipartiteMultigraph, k: int, budget: int):
     """Reference enumerator: recount neighbour multiplicities for every subset."""
-    counts_by_vertex = g.left_neighbour_counts
+    counts_by_vertex: list[Counter] = [Counter() for _ in range(g.n_left)]
+    for u, v in g.edges:
+        counts_by_vertex[u][v] += 1
     checked = 0
     for size in range(1, k + 1):
         if math.comb(g.n_left, size) > budget - checked:
@@ -230,9 +233,11 @@ def unique_neighbours_scan(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
 
 
 def port_set_scan(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
-    """S' = {i : E(v, i) in S} by a scan of all d ports of v."""
+    """S' = {i : E(v, i) in S} by a scan of the whole edge list: port i of v
+    is v's i-th edge in list order."""
     sset = set(s.members)
-    return VertexSet.left(i for i, u in enumerate(big.right_ports[v]) if u in sset)
+    ports = [u for u, w in big.edges if w == v]
+    return VertexSet.left(i for i, u in enumerate(ports) if u in sset)
 
 
 def inheritance_check_scan(rp: product.RoutedProduct, s: VertexSet, v: int):
@@ -241,12 +246,10 @@ def inheritance_check_scan(rp: product.RoutedProduct, s: VertexSet, v: int):
     if not sprime.members:
         raise ValueError(f"right vertex {v} is not a neighbour of the set")
     uj = unique_neighbours_scan(rp.gadget, sprime)
-    sset = set(s.members)
+    counts = _edge_counts_scan(rp.product, s)
     counterexample = None
     for j in uj:
-        target = rp.product_right_index(v, j)
-        incident = sum(1 for u in rp.product.right_ports[target] if u in sset)
-        if incident != 1:
+        if counts[rp.product_right_index(v, j)] != 1:
             counterexample = (v, j)
             break
     return product.InheritanceReport(
@@ -256,6 +259,27 @@ def inheritance_check_scan(rp: product.RoutedProduct, s: VertexSet, v: int):
         counterexample=counterexample,
         vacuous=len(uj) == 0,
     )
+
+
+def routed_product_loop(big: BipartiteMultigraph, gadget: BipartiteMultigraph) -> tuple:
+    """The routed product's edge tuple, edge by edge: for each right vertex v
+    of the big graph and each gadget edge (i, j) in order, the edge
+    (E(v, i), v * |R0| + j), with v's ports read from the edge list."""
+    edges = []
+    for v in range(big.n_right):
+        ports = [u for u, w in big.edges if w == v]
+        for i, j in gadget.edges:
+            edges.append((ports[i], v * gadget.n_right + j))
+    return tuple(edges)
+
+
+def biadjacency(g: BipartiteMultigraph) -> np.ndarray:
+    """B[u, v] = multiplicity of the edge (u, v), as Python integers (object
+    dtype), so products of B are exact at any size."""
+    B = np.zeros((g.n_left, g.n_right), dtype=object)
+    for u, v in g.edges:
+        B[u, v] += 1
+    return B
 
 
 def audit_loop(rp: product.RoutedProduct, verified_k: int, sets) -> dict:

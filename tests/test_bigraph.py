@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from expanderlab.bigraph import (
     BipartiteMultigraph,
@@ -220,8 +220,8 @@ def test_neighbourhood_invariants(pidx, seed, data):
     # every outgoing edge lands in N(S): counts sum to c|S|
     counts = {}
     for u in s:
-        for v, mult in g.left_neighbour_counts[u].items():
-            counts[v] = counts.get(v, 0) + mult
+        for v in g.left_ports[u]:
+            counts[v] = counts.get(v, 0) + 1
     assert sum(counts.values()) == c * len(s)
     assert set(counts) == set(nbhd.members)
 
@@ -246,7 +246,7 @@ def test_write_read_identity(tmp_path_factory, pidx, seed):
 def test_counting_identity_complete_bipartite():
     g = complete_bipartite(4, 2)  # (2, 4)-biregular
     s = VertexSet.left([0, 2])
-    total = sum(sum(g.left_neighbour_counts[u].values()) for u in s)
+    total = sum(len(g.left_ports[u]) for u in s)
     assert total == 2 * len(s)  # c|S| with c = 2
 
 
@@ -274,6 +274,57 @@ def test_edge_counts_by_row_match_edge_counts_into(n_left, n_right, data):
         assert list(vertices[mine]) == sorted(vertices[mine])
         assert dict(zip(vertices[mine].tolist(), counts[mine].tolist())) == \
             _edge_counts_into(g, VertexSet.left(s))
+
+
+@st.composite
+def multigraph_edges(draw):
+    """(n_left, n_right, edges): either side may be empty, and vertices may be
+    isolated or joined by parallel edges."""
+    n_left, n_right = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if n_left == 0 or n_right == 0:
+        return n_left, n_right, []
+    edge = st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1))
+    return n_left, n_right, draw(st.lists(edge, max_size=14))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=multigraph_edges())
+def test_port_lists_and_degrees_match_an_edge_list_scan(graph):
+    n_left, n_right, edges = graph
+    g = BipartiteMultigraph(n_left, n_right, tuple(edges))
+    assert g.left_ports == tuple(tuple(v for x, v in edges if x == u) for u in range(n_left))
+    assert g.right_ports == tuple(tuple(u for u, x in edges if x == v) for v in range(n_right))
+    assert g.left_degrees == tuple(sum(x == u for x, _ in edges) for u in range(n_left))
+    assert g.right_degrees == tuple(sum(x == v for _, x in edges) for v in range(n_right))
+
+
+def _connected_by_union_find(g: BipartiteMultigraph) -> bool:
+    parent = list(range(g.n_left + g.n_right))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        parent[root(u)] = root(g.n_left + v)
+    return len({root(x) for x in range(len(parent))}) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph=multigraph_edges(), split=st.integers(0, 5))
+@example(graph=(0, 0, []), split=0)
+@example(graph=(0, 2, []), split=0)
+@example(graph=(2, 1, [(0, 0)]), split=0)  # an isolated left vertex
+@example(graph=(1, 1, [(0, 0), (0, 0)]), split=1)  # a double edge, then two copies of it
+def test_is_connected_matches_union_find(graph, split):
+    # a second graph on the vertices after the first's makes two components
+    n_left, n_right, edges = graph
+    g = BipartiteMultigraph(n_left, n_right, tuple(edges))
+    assert g.is_connected() == _connected_by_union_find(g)
+    twice = BipartiteMultigraph(2 * n_left, 2 * n_right, tuple(
+        edges + [(u + n_left, v + n_right) for u, v in edges[:split]]))
+    assert twice.is_connected() == _connected_by_union_find(twice)
 
 
 def test_edge_counts_by_row_of_no_rows():

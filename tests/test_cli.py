@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from expanderlab import cli, nbwalk, params, product
+from expanderlab import cli, nbwalk, params, product, spectral
 from expanderlab.bigraph import VertexSet, write_graph
 from expanderlab.gadget import sample_biregular
 from expanderlab.spectral import incidence_graph, write_regular_graph
@@ -84,6 +84,19 @@ def test_incidence_command(capsys, files, tmp_path):
     assert payload["identity"]["ok"] is True
     assert payload["spectrum"]["ramanujan"] is True
     assert out.exists()
+
+
+def test_incidence_refuses_before_the_identity_check(capsys, files, monkeypatch):
+    # Petersen's incidence graph is 15 x 10: over a dense limit of 10, the
+    # spectrum's size check exits 5 before any identity eigensolve runs
+    def identity_check(g):
+        raise AssertionError("the identity check ran on a refused graph")
+
+    monkeypatch.setattr(spectral, "MAX_DENSE_DIM", 10)
+    monkeypatch.setattr(spectral, "incidence_spectrum_identity_check", identity_check)
+    code, payload = run_cli(capsys, "incidence", "--in", files["petersen"])
+    assert code == cli.EXIT_PRECONDITION
+    assert "too large" in payload["error"]["message"]
 
 
 def test_nbops_command(capsys, files):

@@ -1,9 +1,11 @@
-"""Repository hygiene: the README's CLI examples parse, and no module of the
-package imports a name it never uses."""
+"""Repository hygiene: the README's CLI examples parse, no module of the
+package imports a name it never uses, and every name the package defines is
+used somewhere else."""
 
 import ast
 import re
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ from expanderlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "expanderlab"
+# where a definition of the package may be named: code, tests and the benchmark
+CALLERS = ("src", "tests", "perfbench")
 
 
 def _readme_cli_lines() -> list[str]:
@@ -49,3 +53,29 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _definitions(path: Path) -> list[str]:
+    """Top-level functions, classes and assigned names of a module, and the
+    non-dunder methods of its classes."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)
+                      and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return names
+
+
+def test_every_definition_is_named_elsewhere():
+    # a name that occurs once in the whole code base occurs only where it is
+    # defined: nothing calls, reads or tests it
+    words = Counter(word for top in CALLERS for path in (ROOT / top).rglob("*.py")
+                    for word in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    unused = [f"{path.name} {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in _definitions(path) if words[name] < 2]
+    assert unused == []

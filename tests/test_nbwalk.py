@@ -43,6 +43,7 @@ from graphs import (
 )
 from oracles import (
     _nb_walks,
+    biadjacency,
     count_nb_paths_bruteforce,
     count_nb_paths_undirected,
     iterate_recurrence,
@@ -99,7 +100,7 @@ def test_operator_symmetries_and_nonnegativity():
 
 def _assert_recursions(g, ops):
     # exact: B is object dtype, so the products are Python integers
-    B = g.biadjacency()
+    B = biadjacency(g)
     c, d = ops.c, ops.d
     A = ops.operator
     for l in range(2, ops.max_len):

@@ -33,7 +33,7 @@ from graphs import (
     relabelled_complete_incidence,
     swap_left_endpoints,
 )
-from oracles import audit_loop, inheritance_check_scan, port_set_scan
+from oracles import audit_loop, inheritance_check_scan, port_set_scan, routed_product_loop
 
 
 def test_c4_routed_through_k21_is_c4():
@@ -197,6 +197,20 @@ def test_product_laws_random_pairs():
         assert set(rp.product.right_degrees) == {d0}
         assert len(rp.product.edges) == big.n_right * len(gadget.edges)
         assert per_vertex_isomorphism_check(rp)
+
+
+def test_routed_product_matches_the_edge_loop_oracle():
+    # configuration-model draws put parallel edges in big graphs and gadgets;
+    # the doubled edge routed through a 2-port gadget repeats one left vertex
+    doubled_k21 = BipartiteMultigraph(2, 1, k21().edges * 2)
+    pairs = list(_random_pairs(60)) + [(double_edge(), k21()), (double_edge(), doubled_k21),
+                                       (c4(), k21())]
+    assert any(len(set(big.edges)) < len(big.edges) for big, _ in pairs)
+    assert any(len(set(gadget.edges)) < len(gadget.edges) for _, gadget in pairs)
+    for big, gadget in pairs:
+        product = routed_product(big, gadget).product
+        assert product.edges == routed_product_loop(big, gadget)
+        assert all(type(x) is int for edge in product.edges for x in edge)
 
 
 def test_inheritance_randomized_trials():

@@ -23,12 +23,14 @@ from graphs import (
     complete_bipartite,
     complete_graph,
     cycle,
+    digon,
     k32,
     k4,
     petersen,
     relabelled_complete_incidence,
     triangle,
 )
+from oracles import biadjacency
 
 
 def test_spectrum_k32():
@@ -96,7 +98,7 @@ def test_tolerance_monotonicity():
 
 def test_mmt_and_mtm_nonzero_spectra_agree():
     for idx, (L, R, c, d) in enumerate(SMALL_BIREGULAR_PARAMS):
-        B = sample_biregular(L, R, c, d, seed=idx).biadjacency().astype(float)
+        B = biadjacency(sample_biregular(L, R, c, d, seed=idx)).astype(float)
         left = np.sort(np.linalg.eigvalsh(B @ B.T))
         right = np.sort(np.linalg.eigvalsh(B.T @ B))
         nz_left = sorted(x for x in left if x > 1e-8)
@@ -111,18 +113,12 @@ def test_mmt_and_mtm_nonzero_spectra_agree():
 K63_FALSE_VERDICTS = (3, 10, 11, 14, 17)
 
 
-def _biadjacency(g) -> np.ndarray:
-    B = np.zeros((g.n_left, g.n_right))
-    np.add.at(B, tuple(np.array(g.edges).T), 1.0)
-    return B
-
-
 def _assert_spectrum_is_the_matmul_eigensolve(g):
-    """gram(g) equals B @ B.T entry for entry, and spectrum's singular values
-    are bit-identical to those from eigvalsh(B @ B.T)."""
-    B = _biadjacency(g)
+    """The right side's gram equals B @ B.T entry for entry, and spectrum's
+    singular values are bit-identical to those from eigvalsh(B @ B.T)."""
+    B = biadjacency(g).astype(float)
     product = B @ B.T
-    G = gram(g)
+    G = gram(g.right_ports, g.n_left)
     assert G.dtype == product.dtype and G.flags.c_contiguous
     assert np.array_equal(G, product)
     sigmas = np.sqrt(np.clip(np.linalg.eigvalsh(product), 0.0, None))[::-1]
@@ -150,12 +146,36 @@ def test_spectrum_is_the_matmul_eigensolve_on_k63():
     # wrong, which stays wrong: the Gram's eigenvalues are the matmul's
     for seed in range(20):
         g = relabelled_complete_incidence(63, seed)
-        B = _biadjacency(g)
-        assert np.array_equal(gram(g), B @ B.T)
+        B = biadjacency(g).astype(float)
+        assert np.array_equal(gram(g.right_ports, g.n_left), B @ B.T)
     assert _assert_spectrum_is_the_matmul_eigensolve(incidence_graph(complete_graph(63))).ramanujan
     for seed in K63_FALSE_VERDICTS:
         report = _assert_spectrum_is_the_matmul_eigensolve(relabelled_complete_incidence(63, seed))
         assert not report.ramanujan
+
+
+def test_gram_of_each_side_is_the_exact_product():
+    # biregular multigraphs with n_left != n_right on both sides of the
+    # imbalance, configuration-model draws among them (parallel edges)
+    graphs = [sample_biregular(L, R, c, d, seed=seed)
+              for L, R, c, d in ((12, 8, 2, 3), (20, 10, 2, 4), (6, 9, 3, 2), (4, 2, 1, 2))
+              for seed in range(8)]
+    graphs.append(complete_bipartite(2, 5))
+    assert all(g.n_left != g.n_right for g in graphs)
+    assert any(len(set(g.edges)) < len(g.edges) for g in graphs)
+    for g in graphs:
+        B = biadjacency(g)
+        assert np.array_equal(gram(g.right_ports, g.n_left), (B @ B.T).astype(float))
+        assert np.array_equal(gram(g.left_ports, g.n_right), (B.T @ B).astype(float))
+
+
+@pytest.mark.parametrize("base", [k4(), petersen(), digon()], ids=["k4", "petersen", "digon"])
+def test_incidence_right_gram_is_degree_plus_adjacency(base):
+    # B^T B = d I + A entry for entry, the integer identity under the
+    # incidence graph's squared singular values
+    inc = incidence_graph(base)
+    expected = base.d * np.eye(base.n) + base.adjacency
+    assert np.array_equal(gram(inc.left_ports, inc.n_right), expected)
 
 
 def test_spectrum_memory_peak_stays_near_the_gram():
