@@ -298,9 +298,19 @@ def unique_neighbours(g: BipartiteMultigraph, s: VertexSet) -> VertexSet:
 _BIGRAPH_MAGIC = "BIGRAPH v1"
 
 
+def _read_ascii(path) -> str:
+    """A graph file's text; a byte outside ASCII is a GraphFormatError."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"byte {exc.start} is not ASCII") from exc
+
+
 def _loads_edge_list(text: str, magic: str, keys: tuple[str, str]):
     """(a, b, edges) from the magic line, a "<key0>=a <key1>=b" header line and
     one "u v" line per edge.  Each format checks its own edge ranges."""
+    if not text.isascii():  # str.isdigit alone accepts '²' and other scripts' digits
+        raise GraphFormatError("graph text is not ASCII")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -342,7 +352,7 @@ def dumps_graph(g: BipartiteMultigraph) -> str:
 
 def read_graph(path) -> BipartiteMultigraph:
     """Read a BIGRAPH v1 file.  Raises the distinct parse errors above."""
-    return loads_graph(Path(path).read_text(encoding="ascii"))
+    return loads_graph(_read_ascii(path))
 
 
 def write_graph(g: BipartiteMultigraph, path) -> None:

@@ -25,7 +25,7 @@ from expanderlab.nbwalk import (
 )
 from expanderlab.spectral import (
     incidence_graph,
-    incidence_spectrum_identity_check,
+    incidence_identity_check,
     ramanujan_band,
     spectrum,
 )
@@ -152,14 +152,15 @@ def test_criterion_06_incidence_ramanujan():
     for base, name in [(k4(), "K4"), (triangle(), "triangle"), (petersen(), "Petersen")]:
         inc = incidence_graph(base)
         rep = spectrum(inc)
-        identity = incidence_spectrum_identity_check(base)
+        identity = incidence_identity_check(base)
         this_ok = (
             rep.ramanujan
             and inc.biregularity() == (2, base.d)
-            and identity.max_residual < 1e-8
+            and identity.mismatched_entries == 0
         )
         ok = ok and this_ok
-        details.append(f"{name}: ramanujan={rep.ramanujan} residual={identity.max_residual:.1e}")
+        details.append(f"{name}: ramanujan={rep.ramanujan} "
+                       f"mismatched={identity.mismatched_entries}")
     assert _report(6, "incidence-ramanujan", ok, "; ".join(details))
 
 

@@ -197,6 +197,18 @@ def test_parse_error_bad_edge_line():
         loads_graph("BIGRAPH v1\nnl=2 nr=2\n0 1 2\n")
 
 
+@pytest.mark.parametrize("text", [
+    "BIGRAPH v1\nnl=2 nr=1\n0 0\n1 \u00b2\n",
+    "BIGRAPH v1\nnl=2 nr=1\n0 0\n1 \u0660\n",
+    "BIGRAPH v1\nnl=\u00b2 nr=1\n",
+], ids=["superscript-edge", "arabic-indic-edge", "superscript-header"])
+def test_only_ascii_digits_are_numbers(text):
+    # str.isdigit accepts these; int() refuses the superscript and reads the
+    # Arabic-Indic zero as 0, which would load the edge (1, 0)
+    with pytest.raises(GraphFormatError):
+        loads_graph(text)
+
+
 # -- invariants on random biregular graphs -----------------------------------
 
 

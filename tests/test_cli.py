@@ -69,6 +69,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert payload["error"]["type"] == "MalformedHeaderError"
 
 
+@pytest.mark.parametrize("command,name,text", [
+    ("spectrum", "f.bg", b"BIGRAPH v1\nnl=2 nr=1\n0 0\n1 \xc2\xb2\n"),
+    ("incidence", "f.g", b"GRAPH v1\nn=3 d=2\n0 1\n1 2\n2 \xc2\xb2\n"),
+], ids=["spectrum", "incidence"])
+def test_non_ascii_graph_file_is_a_parse_error(capsys, tmp_path, command, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    code, payload = run_cli(capsys, command, "--in", str(path))
+    assert code == cli.EXIT_PARSE
+    assert payload["error"]["type"] == "GraphFormatError"
+
+
 def test_precondition_exit_code(capsys, tmp_path):
     bad = tmp_path / "nonbireg.bg"
     bad.write_text("BIGRAPH v1\nnl=2 nr=2\n0 0\n0 1\n1 0\n")
@@ -81,19 +93,19 @@ def test_incidence_command(capsys, files, tmp_path):
     code, payload = run_cli(capsys, "incidence", "--in", files["petersen"], "--out", str(out))
     assert code == 0
     assert payload["n_left"] == 15 and payload["n_right"] == 10
-    assert payload["identity"]["ok"] is True
+    assert payload["identity"] == {"d": 3, "mismatched_entries": 0, "ok": True}
     assert payload["spectrum"]["ramanujan"] is True
     assert out.exists()
 
 
 def test_incidence_refuses_before_the_identity_check(capsys, files, monkeypatch):
     # Petersen's incidence graph is 15 x 10: over a dense limit of 10, the
-    # spectrum's size check exits 5 before any identity eigensolve runs
+    # spectrum's size check exits 5 before the identity check runs
     def identity_check(g):
         raise AssertionError("the identity check ran on a refused graph")
 
     monkeypatch.setattr(spectral, "MAX_DENSE_DIM", 10)
-    monkeypatch.setattr(spectral, "incidence_spectrum_identity_check", identity_check)
+    monkeypatch.setattr(spectral, "incidence_identity_check", identity_check)
     code, payload = run_cli(capsys, "incidence", "--in", files["petersen"])
     assert code == cli.EXIT_PRECONDITION
     assert "too large" in payload["error"]["message"]

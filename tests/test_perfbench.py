@@ -5,10 +5,10 @@ output format, not the timings: exit code 0, a last stdout line that is
 strict JSON (no bare NaN or Infinity) and every verdict correct.  An untraced
 run reports every end-to-end metric that BENCHMARK.json names with a finite
 value and no failed job.  A traced run reports every per-layer metric with a
-finite value and the same work counts from every traced job
-(trace.count_mismatches is 0).  It also pins the work counts of the seed-0
-jobs, so that a speed-up which skips work (fewer search nodes, audit trials
-or lemma checks) fails here.
+finite value (spectral.zero_margin below 1e300) and the same work counts
+from every traced job (trace.count_mismatches is 0).  It also pins the work
+counts of the seed-0 jobs, so that a speed-up which skips work (fewer search
+nodes, audit trials or lemma checks) fails here.
 """
 
 import json
@@ -65,4 +65,7 @@ def test_traced_run_prints_a_strict_json_result(workload):
         value = metrics[entry["name"]]["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), entry["name"]
     assert metrics["trace.count_mismatches"]["value"] == 0, stdout
+    # finite is not enough: once every zero singular value is exact,
+    # zero_margin is tolerance / float_min = 4.5e301, which measures nothing
+    assert metrics["spectral.zero_margin"]["value"] < 1e300
     assert {name: metrics[name]["value"] for name in WORK_COUNTS[workload]} == WORK_COUNTS[workload]

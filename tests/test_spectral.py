@@ -4,14 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expanderlab.bigraph import BipartiteMultigraph, MalformedHeaderError
+from expanderlab.bigraph import BipartiteMultigraph, GraphFormatError, MalformedHeaderError
 from expanderlab.gadget import sample_biregular
+from expanderlab import spectral
 from expanderlab.spectral import (
     RegularGraph,
     dumps_regular_graph,
     gram,
     incidence_graph,
-    incidence_spectrum_identity_check,
+    incidence_identity_check,
     loads_regular_graph,
     read_regular_graph,
     spectrum,
@@ -169,13 +170,47 @@ def test_gram_of_each_side_is_the_exact_product():
         assert np.array_equal(gram(g.left_ports, g.n_right), (B.T @ B).astype(float))
 
 
+def _degree_plus_adjacency(g):
+    """d I + A as Python integers, A counting each edge of g once per copy."""
+    M = [[g.d if x == y else 0 for y in range(g.n)] for x in range(g.n)]
+    for u, v in g.edges:
+        M[u][v] += 1
+        M[v][u] += 1
+    return np.array(M)
+
+
 @pytest.mark.parametrize("base", [k4(), petersen(), digon()], ids=["k4", "petersen", "digon"])
 def test_incidence_right_gram_is_degree_plus_adjacency(base):
     # B^T B = d I + A entry for entry, the integer identity under the
     # incidence graph's squared singular values
     inc = incidence_graph(base)
-    expected = base.d * np.eye(base.n) + base.adjacency
+    expected = _degree_plus_adjacency(base)
     assert np.array_equal(gram(inc.left_ports, inc.n_right), expected)
+    report = incidence_identity_check(base)
+    assert (report.d, report.mismatched_entries, report.ok) == (base.d, 0, True)
+
+
+def test_incidence_identity_counts_the_double_edge():
+    # the digon's A has a 2 off the diagonal; counting each pair of vertices
+    # once would miss it
+    assert _degree_plus_adjacency(digon()).tolist() == [[2, 2], [2, 2]]
+    assert incidence_identity_check(digon()).ok
+
+
+def test_incidence_identity_reports_a_rewired_edge(monkeypatch):
+    # moving K4's edge-0 port from vertex 1 to vertex 2 changes B^T B at
+    # (1, 1), (2, 2), (0, 1), (1, 0), (0, 2) and (2, 0)
+    def rewired(g):
+        inc = incidence_graph(g)
+        assert inc.edges[1] == (0, 1)
+        edges = list(inc.edges)
+        edges[1] = (0, 2)
+        return BipartiteMultigraph(inc.n_left, inc.n_right, tuple(edges))
+
+    monkeypatch.setattr(spectral, "incidence_graph", rewired)
+    report = incidence_identity_check(k4())
+    assert report.mismatched_entries == 6
+    assert report.to_dict() == {"d": 3, "mismatched_entries": 6, "ok": False}
 
 
 def test_spectrum_memory_peak_stays_near_the_gram():
@@ -217,16 +252,20 @@ def test_incidence_petersen_spectrum_in_band():
     assert nontrivial == {2.0, 1.0}
 
 
+def _nonzero_squared_singular_values(g):
+    return {round(s * s, 6) for s in spectrum(incidence_graph(g)).singular_values if s > 1e-3}
+
+
 def test_incidence_identity_k4():
-    rep = incidence_spectrum_identity_check(k4())
-    assert rep.max_residual < 1e-8
-    assert {round(x, 6) for x in rep.squared_singular_values} == {6.0, 2.0}
+    # spec(A) = {3, -1}: the identity puts sigma^2 at d + spec(A) = {6, 2}
+    assert incidence_identity_check(k4()).mismatched_entries == 0
+    assert _nonzero_squared_singular_values(k4()) == {6.0, 2.0}
 
 
 def test_incidence_identity_petersen():
-    rep = incidence_spectrum_identity_check(petersen())
-    assert rep.max_residual < 1e-8
-    assert {round(x, 6) for x in rep.squared_singular_values} == {6.0, 4.0, 1.0}
+    # spec(A) = {3, 1, -2}
+    assert incidence_identity_check(petersen()).mismatched_entries == 0
+    assert _nonzero_squared_singular_values(petersen()) == {6.0, 4.0, 1.0}
 
 
 def test_incidence_rejects_degree_one():
@@ -258,3 +297,8 @@ def test_regular_graph_format_bytes():
 def test_regular_graph_bad_magic():
     with pytest.raises(MalformedHeaderError):
         loads_regular_graph("BIGRAPH v1\nn=3 d=2\n")
+
+
+def test_regular_graph_non_ascii_digit():
+    with pytest.raises(GraphFormatError):
+        loads_regular_graph("GRAPH v1\nn=3 d=2\n0 1\n1 2\n2 \u00b2\n")
