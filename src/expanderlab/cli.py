@@ -20,13 +20,14 @@ Pipeline stage failures use distinct codes: 10 spectral certification,
 
 Result payloads are the reports' to_dict() (expanderlab.report): every field
 by name, Fractions as "p/q" strings.  Each value has one flag: --seed,
---budget, --precision and --tolerance go before the subcommand (commands
-that do not use them ignore them: --precision is read by qhat and boundcheck
-lemma6, --budget by gadget verify and pipeline, --tolerance by spectrum,
-incidence, pipeline and boundcheck lemma8, --seed by gadget sample, pipeline
-and boundcheck lemma6), and after it a subcommand accepts only the flags it
-reads; any other exits 2.  Numeric flags are
-range-checked while parsing, so a value outside the range exits 2 with
+--budget, --precision and --tolerance go before the subcommand, and only
+the commands that read one accept it (--precision: qhat and boundcheck
+lemma6; --budget: gadget verify and pipeline; --tolerance: spectrum,
+incidence, pipeline and boundcheck lemma8; --seed: gadget sample, pipeline
+and boundcheck lemma6); given to any other command, even at its default
+value, it exits 2 with the flag named on stderr.  After the subcommand, a
+subcommand accepts only the flags it reads; any other exits 2.  Numeric
+flags are range-checked while parsing, so a value outside the range exits 2 with
 nothing on stdout: pipeline --k, --retries, --audit-trials, qhat --margin
 and boundcheck --samples, --ell, --ell-max take integers >= 1; --seed,
 --budget, gadget verify --k, nbops --max-len, nbcount --len and poly --n
@@ -362,23 +363,35 @@ def cmd_pipeline(args) -> int:
                           EXIT_OK if audit_ok else EXIT_STAGE_AUDIT)
 
 
+# Each top-level flag: its default and the commands that read it (by name, so
+# that a wrapped command function still matches).  Any other command given
+# the flag exits 2, so that no flag is silently ignored.
+TOP_LEVEL_FLAGS = {
+    "seed": (0, ("gadget sample", "pipeline", "boundcheck lemma6")),
+    "precision": (params.DEFAULT_PRECISION, ("qhat", "boundcheck lemma6")),
+    "budget": (gadget.DEFAULT_NODE_BUDGET, ("gadget verify", "pipeline")),
+    "tolerance": (spectral.DEFAULT_TOLERANCE,
+                  ("spectrum", "incidence", "pipeline", "boundcheck lemma8")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="expanderlab",
         description="Build and verify bipartite unique-neighbour expanders at desk scale.",
     )
-    parser.add_argument("--seed", type=_int_at_least(0), default=0,
-                        help="RNG seed (Philox 4x64), an integer >= 0")
-    parser.add_argument("--precision", type=_int_at_least(PRECISION_FLOOR),
-                        default=params.DEFAULT_PRECISION,
+    # None marks a flag not given; main fills in TOP_LEVEL_FLAGS' defaults
+    parser.add_argument("--seed", type=_int_at_least(0), default=None,
+                        help="RNG seed (Philox 4x64), an integer >= 0 (default 0)")
+    parser.add_argument("--precision", type=_int_at_least(PRECISION_FLOOR), default=None,
                         help=f"working precision in decimal digits, an integer >= {PRECISION_FLOOR} "
                              f"(default {params.DEFAULT_PRECISION})")
-    parser.add_argument("--budget", type=_int_at_least(0),
-                        default=gadget.DEFAULT_NODE_BUDGET,
-                        help="search nodes a gadget verification may visit (an integer >= 0)")
-    parser.add_argument("--tolerance", type=_parse_tolerance,
-                        default=spectral.DEFAULT_TOLERANCE,
-                        help="spectral classification tolerance (a finite number > 0)")
+    parser.add_argument("--budget", type=_int_at_least(0), default=None,
+                        help="search nodes a gadget verification may visit (an integer >= 0, "
+                             f"default {gadget.DEFAULT_NODE_BUDGET})")
+    parser.add_argument("--tolerance", type=_parse_tolerance, default=None,
+                        help="spectral classification tolerance (a finite number > 0, "
+                             f"default {spectral.DEFAULT_TOLERANCE:g})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="singular spectrum + Ramanujan verdict")
@@ -491,6 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = " ".join(getattr(args, dest) for dest in ("command", "kind", "gadget_command")
+                       if hasattr(args, dest))
+    for name, (default, readers) in TOP_LEVEL_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif command not in readers:
+            parser.error(f"--{name} is not read by {command}")
     if args.func in (cmd_lemma6, cmd_constants, cmd_bounds, cmd_poly):
         equal_ok = args.func is cmd_poly  # p_n allows c = d; the band bounds do not
         if not (2 <= args.c < args.d or equal_ok and 2 <= args.c == args.d):

@@ -10,7 +10,10 @@ with the product right vertex (v,j) stored at index v*|R0| + j, which makes
 file output bit-exact across runs.  Unique neighbours are inherited: if the
 port set of v in S has a unique neighbour j in the gadget, then (v,j) is a
 unique neighbour of S in the product.  The pipeline's audit (audit) draws
-random left sets and checks that route on each.
+random left sets and checks that route for a whole block of them at once in
+numpy (audit_sets).  port_set and inheritance_check check it for one set; they
+are the per-set oracle the block check is tested against, kept for the tests,
+the acceptance harness and the benchmark's traced layers (perfbench/tracing.py).
 """
 
 from __future__ import annotations
@@ -78,7 +81,10 @@ def routed_product(big: BipartiteMultigraph, gadget: BipartiteMultigraph) -> Rou
 
 
 def port_set(big: BipartiteMultigraph, v: int, s: VertexSet) -> VertexSet:
-    """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports."""
+    """S' = {i : E(v,i) in S}, as left vertices of the gadget indexing v's ports.
+
+    Part of the per-set oracle for audit_sets (see inheritance_check).
+    """
     _require_left(s, big.n_left)
     if not 0 <= v < big.n_right:
         raise ValueError(f"right vertex {v} out of range")
@@ -107,6 +113,10 @@ def inheritance_check(rp: RoutedProduct, s: VertexSet, v: int) -> InheritanceRep
     For every unique neighbour j of the port set S' in the gadget, (v,j) must
     be a unique neighbour of S in the product.  A counterexample would falsify
     the inheritance lemma; vacuous means S' had no unique neighbour to test.
+
+    This is the per-set oracle for audit_sets, which runs the same check on a
+    whole block of sets in numpy; the tests and the acceptance harness call
+    it, and perfbench/tracing.py times it.
     """
     sprime = port_set(rp.big, v, s)
     if not sprime.members:
@@ -134,14 +144,27 @@ def audit_sets(rp: RoutedProduct, verified_k: int, blocks) -> dict:
     with n_left, as random_left_sets makes them) through the inheritance route.
 
     A set's chosen v is the smallest right vertex of the big graph with 1 to
-    verified_k edges (ports) into S; a set without one is inconclusive.  Each
-    conclusive set runs one inheritance_check at its v, and fails when that
-    check is vacuous or finds a counterexample, or when S has no unique
-    neighbour in the product.  A block's edge counts into both graphs come
-    from one gather over the padded neighbour tables (edge_counts_by_row).
+    verified_k edges (ports) into S; a set without one is inconclusive.  A
+    conclusive set fails when its port set S' at v has no unique neighbour in
+    the gadget (vacuous), when some gadget unique neighbour j of S' leaves
+    (v, j) with other than one edge into S in the product (a counterexample to
+    inheritance), or when S has no unique neighbour in the product.
+
+    Each block is checked whole in numpy, with memory independent of the
+    graph's size: S' is a (sets x d) mask from comparing each set's members
+    with v's ports, the gadget counts are S' times the gadget's d x r0
+    edge-multiplicity matrix, and the edge counts into both graphs come from
+    one gather over the padded neighbour tables (edge_counts_by_row).
+    port_set and inheritance_check are the same check one set at a time.
     """
-    (big_table, _), _ = neighbour_tables(rp.big)
+    # routed_product requires a biregular big graph, so no row of its right
+    # table is padded, and a padded member (n_left) matches none of v's ports
+    (big_table, _), (big_ports, _) = neighbour_tables(rp.big)
     (product_table, _), _ = neighbour_tables(rp.product)
+    r0 = rp.r0
+    gadget_i, gadget_j = np.array(rp.gadget.edges, dtype=np.intp).reshape(-1, 2).T
+    multiplicity = np.zeros((rp.gadget.n_left, r0), dtype=np.intp)
+    np.add.at(multiplicity, (gadget_i, gadget_j), 1)
     totals = dict.fromkeys(("trials", "conclusive", "inconclusive", "failures"), 0)
     for members in blocks:
         rows, vertices, counts = edge_counts_by_row(big_table, members)
@@ -149,17 +172,21 @@ def audit_sets(rp: RoutedProduct, verified_k: int, blocks) -> dict:
         conclusive, first = np.unique(rows[fits], return_index=True)
         chosen = vertices[fits][first]
         sets = members[conclusive]
-        rows, _, counts = edge_counts_by_row(product_table, sets)
+        ports = (big_ports[chosen][:, None, :] == sets[:, :, None]).any(axis=1)
+        gadget_unique = ports @ multiplicity == 1
+        rows, vertices, counts = edge_counts_by_row(product_table, sets)
         direct = np.zeros(len(sets), dtype=bool)
         direct[rows[counts == 1]] = True
-        sizes = (sets < rp.big.n_left).sum(axis=1)
-        for row, size, v, has_direct in zip(sets.tolist(), sizes.tolist(), chosen.tolist(),
-                                            direct.tolist()):
-            check = inheritance_check(rp, VertexSet.left(row[:size]), v)
-            totals["failures"] += check.vacuous or not check.ok or not has_direct
+        # the product counts at (v, j), for the chosen v of each set
+        at_v = vertices // r0 == chosen[rows]
+        routed = np.zeros((len(sets), r0), dtype=np.intp)
+        routed[rows[at_v], vertices[at_v] % r0] = counts[at_v]
+        inherited = ~(gadget_unique & (routed != 1)).any(axis=1)
+        passed = gadget_unique.any(axis=1) & inherited & direct
         totals["trials"] += len(members)
         totals["conclusive"] += len(sets)
         totals["inconclusive"] += len(members) - len(sets)
+        totals["failures"] += len(sets) - int(passed.sum())
     return totals
 
 

@@ -56,12 +56,13 @@ def relabelled_complete_incidence(n: int, seed: int) -> BipartiteMultigraph:
     default_rng(seed): vertices relabelled, edges reordered and each edge
     oriented at random, which changes every port E(v, i).  Built by perfbench's
     own function, so the tests cover the benchmark's graphs."""
-    n_left, n_right, edges = _workloads()._complete_graph_incidence(n, np.random.default_rng(seed))
+    n_left, n_right, edges = perfbench_workloads()._complete_graph_incidence(
+        n, np.random.default_rng(seed))
     return BipartiteMultigraph(n_left, n_right, tuple(edges))
 
 
 @functools.cache
-def _workloads():
+def perfbench_workloads():
     """perfbench/workloads.py, loaded from its file (perfbench is no package)."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

@@ -524,6 +524,47 @@ def test_removed_or_foreign_flag_is_a_flag_error(capsys, files, argv):
     assert not (files["dir"] / "s.bg").exists()
 
 
+# one valid argv per command, and the top-level flags each command reads
+COMMAND_ARGV = {
+    "spectrum": ["spectrum", "--in", "g.bg"],
+    "incidence": ["incidence", "--in", "g.g"],
+    "nbops": ["nbops", "--in", "g.bg", "--max-len", "2"],
+    "nbcount": ["nbcount", "--in", "g.bg", "--set", "0", "--len", "2"],
+    "poly": ["poly", "--c", "2", "--d", "3", "--n", "2"],
+    "boundcheck lemma6": ["boundcheck", "lemma6", "--c", "2", "--d", "3", "--ell", "2"],
+    "boundcheck lemma8": ["boundcheck", "lemma8", "--in", "g.bg", "--set", "0", "--ell", "1"],
+    "boundcheck lemma9": ["boundcheck", "lemma9", "--in", "g.bg"],
+    "gadget sample": ["gadget", "sample", "--L", "4", "--R", "2", "--c", "1", "--d", "2",
+                      "--out", "g.bg"],
+    "gadget verify": ["gadget", "verify", "--in", "g.bg", "--k", "2"],
+    "product": ["product", "--big", "b.bg", "--gadget", "g.bg", "--out", "p.bg"],
+    "qhat": ["qhat", "--c0", "35", "--alpha", "2"],
+    "constants": ["constants", "--c", "2", "--d", "3", "--eps", "0.5"],
+    "bounds": ["bounds", "--c", "2", "--d", "3", "--eps", "0.1"],
+    "pipeline": ["pipeline", "--big", "b.bg", "--gadget", "g.bg"],
+}
+TOP_LEVEL_READERS = {
+    ("--seed", "0"): {"gadget sample", "pipeline", "boundcheck lemma6"},
+    ("--precision", "40"): {"qhat", "boundcheck lemma6"},
+    ("--budget", "5"): {"gadget verify", "pipeline"},
+    ("--tolerance", "0.5"): {"spectrum", "incidence", "pipeline", "boundcheck lemma8"},
+}
+
+
+@pytest.mark.parametrize("flag,value,command", [
+    (flag, value, command) for (flag, value), readers in TOP_LEVEL_READERS.items()
+    for command in COMMAND_ARGV if command not in readers])
+def test_top_level_flag_given_to_a_command_that_ignores_it_is_a_flag_error(
+        capsys, flag, value, command):
+    # refused before any file is read, even at its default value (--seed 0)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag, value, *COMMAND_ARGV[command]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"{flag} is not read by {command}")
+
+
 @pytest.mark.parametrize("c0,alpha,q_hat", [(35, "2", 1492), (100, "1.01", 1135),
                                             (10, "2", 18907), (100, "100", 136051)])
 def test_precision_floor_reproduces_the_table(capsys, c0, alpha, q_hat):

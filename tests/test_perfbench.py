@@ -7,8 +7,10 @@ run reports every end-to-end metric that BENCHMARK.json names with a finite
 value and no failed job.  A traced run reports every per-layer metric with a
 finite value (spectral.zero_margin below 1e300) and the same work counts
 from every traced job (trace.count_mismatches is 0).  It also pins the work
-counts of the seed-0 jobs, so that a speed-up which skips work (fewer search
-nodes, audit trials or lemma checks) fails here.
+of the seed-0 jobs, so that a speed-up which skips work fails here: the
+traced counts of search nodes and lemma checks, and the audit stage's own
+totals of the construct job (every one of its 1000 sets audited and
+conclusive).
 """
 
 import json
@@ -19,14 +21,15 @@ from pathlib import Path
 
 import pytest
 
+from graphs import perfbench_workloads
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 WORK_COUNTS = {
     "certify": {"params.qhat_failures_found": 2623, "nbwalk.lemma6_evals": 100_000,
                 "nbwalk.lemma8_checks": 20},
-    "construct": {"gadget.subsets_checked": 1457, "product.inheritance_checks": 1000,
-                  "product.audit_conclusive_ratio": 1.0},
+    "construct": {"gadget.subsets_checked": 1457, "product.audit_conclusive_ratio": 1.0},
 }
 
 
@@ -69,3 +72,15 @@ def test_traced_run_prints_a_strict_json_result(workload):
     # zero_margin is tolerance / float_min = 4.5e301, which measures nothing
     assert metrics["spectral.zero_margin"]["value"] < 1e300
     assert {name: metrics[name]["value"] for name in WORK_COUNTS[workload]} == WORK_COUNTS[workload]
+
+
+def test_construct_job_audits_every_set(tmp_path):
+    # the audit checks a whole block at once, so no traced call counts its
+    # sets: the pipeline's audit stage reports them
+    job = perfbench_workloads().Construct(0, tmp_path)
+    code, stdout = job.run()
+    assert code == 0
+    audit = json.loads(stdout)["stages"][-1]
+    assert audit["stage"] == "audit"
+    assert {key: audit[key] for key in ("trials", "conclusive", "failures")} == {
+        "trials": 1000, "conclusive": 1000, "failures": 0}

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -26,6 +28,7 @@ from expanderlab.product import (
 
 from graphs import (
     c4,
+    complete_bipartite,
     double_edge,
     k21,
     k32,
@@ -334,3 +337,102 @@ def test_audit_past_one_block():
     assert counts == audit_loop(rp, 2, [VertexSet.left(row[row < rp.big.n_left].tolist())
                                         for row in rows])
     assert counts["trials"] == trials
+
+
+def test_audit_counts_a_counterexample_behind_a_direct_unique_neighbour():
+    # in a broken product, sets that keep a unique neighbour but whose chosen
+    # v has a gadget unique neighbour j with (v, j) not unique: only the
+    # inheritance route fails them
+    rp = routed_product(relabelled_complete_incidence(5, 0), sample_biregular(4, 2, 1, 2, seed=0))
+    subsets = [VertexSet.left(s) for size in (1, 2)
+               for s in itertools.combinations(range(rp.big.n_left), size)]
+    for a, b in itertools.combinations(range(len(rp.product.edges)), 2):
+        broken = dataclasses.replace(rp, product=swap_left_endpoints(rp.product, a, b))
+        found = []
+        for s in subsets:
+            # a simple big graph: v is the first neighbour of S, with |S| <= 2 ports
+            check = inheritance_check(broken, s, neighbourhood(broken.big, s).members[0])
+            if (check.counterexample and not check.vacuous
+                    and unique_neighbours(broken.product, s).members):
+                found.append(list(s.members) + [rp.big.n_left] * (2 - len(s)))
+        if found:
+            break
+    assert found
+    counts = _audits_agree(broken, 2, np.array(found))
+    assert counts["failures"] == counts["conclusive"] == len(found)
+
+
+def test_audit_counts_gadget_multiplicity():
+    # ports 0 and 1 each reach one gadget right vertex by a double edge, so a
+    # set that meets its chosen v at one of them has a vacuous S'; at ports 2
+    # and 3 S' has two unique neighbours.  Filed over a product routed through
+    # K_{4,2}, where (v, j) gets one edge from each port, only the gadget's
+    # multiplicity makes those sets fail.
+    doubled = BipartiteMultigraph(4, 2, ((0, 0), (0, 0), (1, 1), (1, 1),
+                                         (2, 0), (2, 1), (3, 0), (3, 1)))
+    rng = np.random.Generator(np.random.Philox(16))
+    for seed in range(3):
+        big = relabelled_complete_incidence(5, seed)
+        singles = np.arange(big.n_left)[:, None]
+        for rp in (routed_product(big, doubled),
+                   dataclasses.replace(routed_product(big, complete_bipartite(4, 2)),
+                                       gadget=doubled)):
+            vacuous = sum(inheritance_check(rp, VertexSet.left([u]),
+                                            neighbourhood(big, VertexSet.left([u])).members[0])
+                          .vacuous for u in range(big.n_left))
+            counts = _audits_agree(rp, 1, singles)
+            assert 0 < vacuous == counts["failures"] < counts["conclusive"]
+            _audits_agree(rp, 3, random_left_sets(rng, big.n_left, 3, 200))
+
+
+def test_audit_on_a_big_multigraph_with_a_repeated_port():
+    # right vertex 0 holds left vertex 0 at both its ports, so S' = {0, 1}
+    # for every set that contains 0.  K_{2,2} filed over a product routed
+    # through a matching fails those sets (S' is vacuous in K_{2,2}), where a
+    # port set with one copy of the repeated vertex would pass them.
+    big = BipartiteMultigraph(3, 3, ((0, 0), (0, 0), (1, 1), (2, 1), (1, 2), (2, 2)))
+    assert big.right_ports[0] == (0, 0)
+    subsets = np.array([list(s) + [3] * (3 - len(s)) for size in (1, 2, 3)
+                        for s in itertools.combinations(range(3), size)])
+    matching = BipartiteMultigraph(2, 2, ((0, 0), (1, 1)))
+    products = (routed_product(big, k21()), routed_product(big, matching),
+                dataclasses.replace(routed_product(big, matching),
+                                    gadget=complete_bipartite(2, 2)))
+    failures = [sum(_audits_agree(rp, k, subsets)["failures"] for k in (1, 2, 3))
+                for rp in products]
+    assert failures[0] > 0 and failures[1] == 0 and failures[2] > 0
+
+
+def test_audit_sets_runs_no_per_set_check(monkeypatch):
+    # the per-set functions are oracles only: the audit must not call them
+    rng = np.random.Generator(np.random.Philox(17))
+    rp = routed_product(relabelled_complete_incidence(7, 1), sample_biregular(6, 3, 2, 4, seed=0))
+    members = random_left_sets(rng, rp.big.n_left, 3, 300)
+    want = audit_loop(rp, 3, [VertexSet.left(row[row < rp.big.n_left].tolist())
+                              for row in members])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-set check called")
+
+    for target in ("product.inheritance_check", "product.port_set",
+                   "product.unique_neighbours", "bigraph.unique_neighbours"):
+        monkeypatch.setattr(f"expanderlab.{target}", refuse)
+    assert audit_sets(rp, 3, [members]) == want
+
+
+def test_audit_block_memory_does_not_grow_with_n_left():
+    # one block of AUDIT_BLOCK sets over 20,000 left vertices: a mask per set
+    # as wide as the left side would alone take 1024 x 20,000 bytes = 20.5 MB;
+    # the audit (neighbour tables of both graphs included) stays below 8 MiB
+    big = sample_biregular(20_000, 10_000, 2, 4, seed=0)
+    rp = routed_product(big, sample_biregular(4, 2, 1, 2, seed=0))
+    members = random_left_sets(np.random.Generator(np.random.Philox(18)), big.n_left, 5,
+                               AUDIT_BLOCK)
+    tracemalloc.start()
+    try:
+        counts = audit_sets(rp, 5, [members])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counts["trials"] == AUDIT_BLOCK
+    assert peak < 8 * 2 ** 20
